@@ -6,15 +6,13 @@ Usage (from the repository root)::
     python benchmarks/perf/bench_kernel.py               # smoke points, print
     python benchmarks/perf/bench_kernel.py --check       # gate vs baseline
     python benchmarks/perf/bench_kernel.py --update      # rewrite baseline
-    python benchmarks/perf/bench_kernel.py --full --kernels wheel heap
+    python benchmarks/perf/bench_kernel.py --full        # every point, print
 
-``--update`` runs the full point set under every kernel in
-``KERNEL_NAMES`` and rewrites ``benchmarks/perf/BENCH_kernel.json`` —
-commit the diff together with whatever change moved the numbers.
-``--check`` (the CI perf-smoke job) runs the smoke points under every
-committed kernel and fails if the baseline is missing a kernel or if
-normalized events/sec regresses more than the tolerance (default 10%)
-on any point of any kernel.
+``--update`` runs the full point set and rewrites
+``benchmarks/perf/BENCH_kernel.json`` — commit the diff together with
+whatever change moved the numbers.  ``--check`` (the CI perf-smoke
+job) runs the smoke points and fails if normalized events/sec regresses
+more than the tolerance (default 10%) on any of them.
 """
 
 from __future__ import annotations
@@ -30,16 +28,14 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.bench.kernel import (  # noqa: E402
     BASELINE_PATH,
-    CHECK_TOLERANCE,
     FULL_POINTS,
     SMOKE_POINTS,
+    TOLERANCE,
     compare_reports,
     format_report,
     load_baseline,
     run_bench,
-    stale_baseline,
 )
-from repro.common.event import KERNEL_NAMES  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -47,46 +43,21 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="all figure points (default: the two smoke "
                              "points)")
-    parser.add_argument("--kernels", nargs="+", default=None,
-                        choices=list(KERNEL_NAMES),
-                        help="kernels to measure (default: wheel; "
-                             "--check and --update measure all of "
-                             "KERNEL_NAMES)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="fresh runs per point, best wall kept")
-    parser.add_argument("--tolerance", type=float,
-                        default=CHECK_TOLERANCE,
+    parser.add_argument("--tolerance", type=float, default=TOLERANCE,
                         help="allowed normalized events/sec drop for "
                              "--check (default %(default)s)")
     parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) on a stale baseline or a "
-                             "regression vs it, for every committed "
-                             "kernel")
+                        help="fail (exit 1) on a regression vs the "
+                             "committed baseline")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the committed baseline from this "
-                             "run (implies --full and all kernels)")
+                             "run (implies --full)")
     args = parser.parse_args(argv)
 
-    if args.update:
-        points, kernels = FULL_POINTS, KERNEL_NAMES
-    else:
-        points = FULL_POINTS if args.full else SMOKE_POINTS
-        if args.kernels:
-            kernels = tuple(args.kernels)
-        else:
-            kernels = KERNEL_NAMES if args.check else ("wheel",)
-
-    if args.check:
-        # fail fast on a stale baseline — before spending bench time
-        baseline = load_baseline()
-        stale = stale_baseline(baseline)
-        if stale:
-            print("STALE BASELINE:", file=sys.stderr)
-            for line in stale:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-
-    report = run_bench(points, kernels=kernels, repeats=args.repeats)
+    points = FULL_POINTS if args.full or args.update else SMOKE_POINTS
+    report = run_bench(points, repeats=args.repeats)
     print(format_report(report))
 
     if args.update:
@@ -94,18 +65,15 @@ def main(argv=None) -> int:
         print(f"\nbaseline written: {BASELINE_PATH}")
         return 0
     if args.check:
-        failures = []
-        keys = [point.key for point in points]
-        for kernel in kernels:
-            failures += compare_reports(baseline, report, kernel=kernel,
-                                        tolerance=args.tolerance, keys=keys)
+        failures = compare_reports(load_baseline(), report,
+                                   tolerance=args.tolerance,
+                                   keys=[point.key for point in points])
         if failures:
             print("\nPERF REGRESSION:", file=sys.stderr)
             for line in failures:
                 print(f"  {line}", file=sys.stderr)
             return 1
-        print(f"\nperf gate passed (tolerance {args.tolerance:.0%}, "
-              f"kernels: {', '.join(kernels)})")
+        print(f"\nperf gate passed (tolerance {args.tolerance:.0%})")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Simulation-kernel benchmark harness with a regression gate.
 
 Measures events/second and wall-clock for canonical experiment points
-(the same (workload, scheme) pairs the golden figures freeze), under
-either event kernel, and compares runs against the committed baseline
+(the same (workload, scheme) pairs the golden figures freeze) and
+compares runs against the committed baseline
 ``benchmarks/perf/BENCH_kernel.json``.
 
 Raw events/second is machine-dependent, so every report carries a
@@ -21,27 +21,22 @@ perf-smoke test in ``tests/test_perf_smoke.py``.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..common.event import KERNEL_ENV, KERNEL_NAMES, default_kernel
 from ..common.config import small_machine_config
 
 #: committed baseline location (repo-root relative)
 BASELINE_PATH = (pathlib.Path(__file__).resolve().parents[3]
                  / "benchmarks" / "perf" / "BENCH_kernel.json")
 
-#: smoke gate: normalized events/sec may regress at most this fraction
-DEFAULT_TOLERANCE = 0.30
+#: regression gate: normalized events/sec may drop at most this
+#: fraction below the baseline (driver ``--check`` and the pytest smoke)
+TOLERANCE = 0.10
 
-#: ``--check`` gate: per-kernel normalized slowdown bound (tighter than
-#: the opt-in pytest smoke — the driver compares all committed kernels)
-CHECK_TOLERANCE = 0.10
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,7 @@ def calibrate(loops: int = 300_000, repeats: int = 3) -> float:
     return loops / best
 
 
-def measure_point(point: BenchPoint, kernel: Optional[str] = None,
-                  repeats: int = 2) -> Dict[str, object]:
+def measure_point(point: BenchPoint, repeats: int = 2) -> Dict[str, object]:
     """Run ``point`` cold and return its benchmark record.
 
     ``wall_s`` is the best of ``repeats`` fresh systems (timing the
@@ -106,34 +100,22 @@ def measure_point(point: BenchPoint, kernel: Optional[str] = None,
     from ..sim.runner import make_traces
     from ..sim.system import System
 
-    kernel = kernel or default_kernel()
-    if kernel not in KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {kernel!r}")
     config = small_machine_config(num_cores=point.cores)
     traces = make_traces(point.workload, point.cores, point.operations,
                          seed=point.seed)
-    saved = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = kernel
-    try:
-        best_wall = float("inf")
-        events = 0
-        cycles = 0
-        for _ in range(max(1, repeats)):
-            system = System(config, point.scheme)
-            system.load_traces(traces)
-            start = time.perf_counter()
-            system.run()
-            wall = time.perf_counter() - start
-            best_wall = min(best_wall, wall)
-            events = system.events_executed
-            cycles = system.cycles
-    finally:
-        if saved is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = saved
+    best_wall = float("inf")
+    events = 0
+    cycles = 0
+    for _ in range(max(1, repeats)):
+        system = System(config, point.scheme)
+        system.load_traces(traces)
+        start = time.perf_counter()
+        system.run()
+        wall = time.perf_counter() - start
+        best_wall = min(best_wall, wall)
+        events = system.events_executed
+        cycles = system.cycles
     return {
-        "kernel": kernel,
         "events": events,
         "cycles": cycles,
         "wall_s": round(best_wall, 6),
@@ -141,53 +123,30 @@ def measure_point(point: BenchPoint, kernel: Optional[str] = None,
     }
 
 
-def run_bench(points: Sequence[BenchPoint],
-              kernels: Sequence[str] = ("wheel",),
-              repeats: int = 2,
+def run_bench(points: Sequence[BenchPoint], repeats: int = 2,
               calibration: Optional[float] = None) -> Dict[str, object]:
-    """Benchmark ``points`` under each kernel; returns a full report."""
+    """Benchmark ``points``; returns a full report."""
     calibration = calibration or calibrate()
-    report: Dict[str, object] = {
+    records = {}
+    for point in points:
+        record = measure_point(point, repeats=repeats)
+        record["normalized"] = round(
+            record["events_per_sec"] / calibration, 6)
+        records[point.key] = record
+    return {
         "schema": SCHEMA_VERSION,
         "calibration_ops_per_sec": round(calibration, 1),
-        "kernels": {},
+        "points": records,
     }
-    for kernel in kernels:
-        records = {}
-        for point in points:
-            record = measure_point(point, kernel=kernel, repeats=repeats)
-            record["normalized"] = round(
-                record["events_per_sec"] / calibration, 6)
-            records[point.key] = record
-        report["kernels"][kernel] = records
-    return report
 
 
 def load_baseline(path: Optional[pathlib.Path] = None) -> Dict[str, object]:
     return json.loads((path or BASELINE_PATH).read_text())
 
 
-def stale_baseline(baseline: Dict[str, object]) -> List[str]:
-    """Baseline-freshness check: every kernel in ``KERNEL_NAMES`` must
-    have committed records.
-
-    Without this, a newly added kernel silently escapes ``--check`` —
-    the per-point comparison only looks at kernels the baseline already
-    knows.  Returns human-readable problems (empty = fresh)."""
-    problems = []
-    committed = baseline.get("kernels", {})
-    for kernel in KERNEL_NAMES:
-        if not committed.get(kernel):
-            problems.append(
-                f"baseline has no records for kernel {kernel!r} "
-                "(re-run bench_kernel.py --update)")
-    return problems
-
-
 def compare_reports(baseline: Dict[str, object],
                     current: Dict[str, object],
-                    kernel: str = "wheel",
-                    tolerance: float = DEFAULT_TOLERANCE,
+                    tolerance: float = TOLERANCE,
                     keys: Optional[Sequence[str]] = None) -> List[str]:
     """Regression check: normalized events/sec per point.
 
@@ -197,23 +156,23 @@ def compare_reports(baseline: Dict[str, object],
     from the current report is itself a failure — the gate must not
     silently shrink its coverage."""
     failures = []
-    base_points = baseline.get("kernels", {}).get(kernel, {})
-    cur_points = current.get("kernels", {}).get(kernel, {})
+    base_points = baseline.get("points", {})
+    cur_points = current.get("points", {})
     for key in (keys if keys is not None else base_points):
         base = base_points.get(key)
         if base is None:
-            failures.append(f"{kernel}:{key}: missing from baseline "
+            failures.append(f"{key}: missing from baseline "
                             "(re-run bench_kernel.py --update)")
             continue
         cur = cur_points.get(key)
         if cur is None:
-            failures.append(f"{kernel}:{key}: missing from current run")
+            failures.append(f"{key}: missing from current run")
             continue
         floor = base["normalized"] * (1.0 - tolerance)
         if cur["normalized"] < floor:
             drop = 1.0 - cur["normalized"] / base["normalized"]
             failures.append(
-                f"{kernel}:{key}: normalized events/sec "
+                f"{key}: normalized events/sec "
                 f"{cur['normalized']:.4f} is {drop:.0%} below baseline "
                 f"{base['normalized']:.4f} (tolerance {tolerance:.0%})")
     return failures
@@ -221,12 +180,10 @@ def compare_reports(baseline: Dict[str, object],
 
 def format_report(report: Dict[str, object]) -> str:
     lines = [f"calibration: {report['calibration_ops_per_sec']:,.0f} ops/s"]
-    for kernel, records in report["kernels"].items():
-        lines.append(f"[{kernel}]")
-        for key, rec in records.items():
-            lines.append(
-                f"  {key:<42} {rec['events']:>9,} ev  "
-                f"{rec['wall_s']*1e3:>8.1f} ms  "
-                f"{rec['events_per_sec']:>12,.0f} ev/s  "
-                f"norm {rec['normalized']:.4f}")
+    for key, rec in report["points"].items():
+        lines.append(
+            f"  {key:<42} {rec['events']:>9,} ev  "
+            f"{rec['wall_s']*1e3:>8.1f} ms  "
+            f"{rec['events_per_sec']:>12,.0f} ev/s  "
+            f"norm {rec['normalized']:.4f}")
     return "\n".join(lines)

@@ -52,12 +52,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from .common.config import paper_machine_config, small_machine_config
-from .common.event import KERNEL_ENV, KERNEL_NAMES
 from .common.types import SchemeName
 from .sim.crash import crash_sweep
 from .sim.report import (
@@ -158,15 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="DAC 2017 persistent-memory-accelerator reproduction")
     parser.add_argument("--version", action="version",
                         version=f"repro {package_version()}")
-    parser.add_argument(
-        "--kernel", choices=list(KERNEL_NAMES), default=None,
-        help="event kernel for every simulation in this invocation "
-             "(before the subcommand: repro --kernel heap figures). "
-             "heap is the reference, wheel the timing-wheel kernel, "
-             "columnar the batched columnar core (fastest). "
-             "Exported via $REPRO_SIM_KERNEL so --jobs worker processes "
-             "inherit it; the kernels are observationally equivalent, "
-             "so results and cache keys do not change")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tables", help="print the paper's Tables 1-3")
@@ -993,10 +982,6 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel:
-        # Through the environment (not a parameter) so that process-pool
-        # workers spawned by the experiment engine inherit the choice.
-        os.environ[KERNEL_ENV] = args.kernel
     return COMMANDS[args.command](args)
 
 

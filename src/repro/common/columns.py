@@ -1,51 +1,23 @@
-"""Flat column storage helpers for the columnar execution core.
+"""Flat column storage helpers.
 
-Hot per-op state (compiled trace ops, TC entry metadata, bank/queue
-timings) is held as flat parallel columns — ``array.array`` /
-``bytes`` — instead of one Python object per element.  A column of
-machine ints is a single contiguous buffer: bulk reductions over it
-(counts, sums, minima) run in C, and the per-element memory drops from
-a boxed object to 1–8 bytes.
-
-numpy, when importable, accelerates the bulk reductions further; it is
-a **feature probe, never a hard dependency** — every helper has a pure
-``array``/``bytes`` fallback producing identical results, and the
-probe can be forced off with ``REPRO_NO_NUMPY=1`` (the differential
-tests use this to pin fallback/numpy equivalence).
+Hot per-op state (compiled trace ops, bank timings) is held as flat
+parallel columns — ``array.array`` / ``bytes`` — instead of one Python
+object per element.  A column of machine ints is a single contiguous
+buffer: bulk reductions over it (counts, sums, minima) run in C, and
+the per-element memory drops from a boxed object to 1–8 bytes.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Iterable, Sequence
 
 __all__ = [
-    "HAVE_NUMPY",
     "int_column",
-    "byte_column",
     "count_byte",
-    "column_min",
     "masked_count",
     "sum_compute_instructions",
 ]
-
-
-def _probe_numpy():
-    """Import numpy if present and not disabled; never raise."""
-    if os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0"):
-        return None
-    try:  # pragma: no cover - exercised via both CI matrix legs
-        import numpy
-    except Exception:
-        return None
-    return numpy
-
-
-_np = _probe_numpy()
-
-#: True when the optional numpy fast path is active for this process
-HAVE_NUMPY = _np is not None
 
 
 def int_column(values: Iterable[int]) -> array:
@@ -53,46 +25,13 @@ def int_column(values: Iterable[int]) -> array:
     return array("q", values)
 
 
-def byte_column(values: Iterable[int]) -> bytes:
-    """An immutable one-byte-per-element column.
-
-    Used for dense small-code columns (op kinds, boolean flags):
-    ``bytes`` indexing returns cached small ints, the buffer is 1/8th
-    the size of a pointer list, and immutability documents that the
-    column is derived state, never mutated in place.
-    """
-    return bytes(bytearray(values))
-
-
 def count_byte(column: bytes, code: int) -> int:
     """Occurrences of ``code`` in a byte column (C-speed)."""
     return column.count(code)
 
 
-def column_min(column: array) -> int:
-    """Minimum over a flat int column (``array('q')``).
-
-    Used by the bank-timing column: the earliest-available reduction
-    over all banks' busy-until horizons.  numpy only pays off once the
-    column is big enough to amortize the ufunc dispatch (a 32-bank
-    column is cheaper to reduce with the builtin), so the fast path is
-    size-gated.
-    """
-    if _np is not None and len(column) >= 256:
-        return int(_np.frombuffer(column, dtype=_np.int64).min())
-    return min(column)
-
-
 def masked_count(column: bytes, code: int, mask: bytes) -> int:
-    """Count positions where ``column == code`` and ``mask`` is nonzero.
-
-    The fallback pairs the buffers with :func:`zip`; numpy reduces the
-    whole thing with two vector compares and a popcount-style sum.
-    """
-    if _np is not None:
-        a = _np.frombuffer(column, dtype=_np.uint8)
-        b = _np.frombuffer(mask, dtype=_np.uint8)
-        return int(((a == code) & (b != 0)).sum())
+    """Count positions where ``column == code`` and ``mask`` is nonzero."""
     return sum(1 for x, y in zip(column, mask) if x == code and y)
 
 
@@ -108,10 +47,6 @@ def sum_compute_instructions(kinds: bytes, counts: Sequence[int],
     compute_ops = kinds.count(compute_kind)
     if compute_ops == 0:
         return n
-    if _np is not None and isinstance(counts, array):
-        k = _np.frombuffer(kinds, dtype=_np.uint8)
-        c = _np.frombuffer(counts, dtype=_np.int64)
-        return int(c[k == compute_kind].sum()) + (n - compute_ops)
     total = n - compute_ops
     for i, kind in enumerate(kinds):
         if kind == compute_kind:

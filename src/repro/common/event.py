@@ -8,44 +8,15 @@ them in (time, insertion-order) order, so same-cycle events fire in the
 order they were scheduled — a deterministic tie-break that keeps every
 simulation run reproducible.
 
-Three interchangeable kernels implement that contract:
-
-* :class:`Simulator` — the reference implementation, a flat ``heapq``
-  of ``(time, seq, fn, args)`` tuples.  Simple, obviously correct, and
-  the semantics oracle the property tests compare against.
-* :class:`TimingWheelSimulator` — a hierarchical timing wheel (near
-  -future bucket array + far-future heap overflow) with batched
-  same-cycle drains.  Observationally equivalent to the reference
-  kernel — identical firing order, advance-hook points, and
-  ``run(until=..., max_events=...)`` semantics — but cheaper per event
-  on the bursty schedules cycle-accurate simulation produces.
-* :class:`ColumnarSimulator` — the timing wheel with columnar bucket
-  storage: each bucket is a flat ``[fn, args, fn, args, ...]`` column
-  (no per-event tuple), with bucket timestamps in a parallel column.
-  It also announces itself via ``columnar = True`` so components
-  (memory controller, transaction cache, compiled traces) switch on
-  their own columnar fast paths — all observationally equivalent, and
-  oracle-checked against the object kernels by the three-way matrix in
-  ``tests/test_kernel_equivalence.py``.
-
-:func:`create_simulator` picks the kernel, honouring the
-``REPRO_SIM_KERNEL`` environment variable (``wheel`` | ``heap`` |
-``columnar``) so a whole figure run can be A/B'd between kernels
-without code changes.
+The queue is a flat ``heapq`` of ``(time, seq, fn, args)`` tuples:
+small enough to check by eye, and the semantics every component and
+property test is written against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional, Tuple
-
-#: environment variable selecting the event kernel for new systems
-KERNEL_ENV = "REPRO_SIM_KERNEL"
-#: kernel used when the environment does not say otherwise
-DEFAULT_KERNEL = "wheel"
-#: recognised kernel names, in (default-first) preference order
-KERNEL_NAMES = ("wheel", "heap", "columnar")
 
 
 class SimulationError(RuntimeError):
@@ -89,11 +60,6 @@ class Simulator:
     5
     """
 
-    #: True on kernels whose components should switch to their columnar
-    #: fast paths (flat column state, parked-poll scheduler ticks).
-    #: Class attribute so the hot-path probe is a plain attribute read.
-    columnar = False
-
     def __init__(self) -> None:
         self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         #: current simulation time in cycles — a plain attribute, not a
@@ -101,7 +67,6 @@ class Simulator:
         #: only the kernel writes it
         self.now: int = 0
         self._seq: int = 0
-        self._running = False
         self._on_advance: Optional[Callable[[int], None]] = None
 
     def set_advance_hook(self, hook: Optional[Callable[[int], None]]) -> None:
@@ -182,524 +147,6 @@ class Simulator:
         return executed
 
 
-class TimingWheelSimulator(Simulator):
-    """Timing-wheel event kernel: near-future wheel, far-future heap.
-
-    Events within ``WHEEL_SIZE`` cycles of *now* live in a circular
-    array of buckets indexed by ``time & (WHEEL_SIZE - 1)``; events
-    beyond the horizon overflow to a plain heap and migrate into the
-    wheel as time advances.  An occupancy bitmap (one Python int, one
-    bit per bucket) makes next-event search a single rotate +
-    lowest-set-bit scan instead of a heap sift, and each occupied
-    bucket is drained in a batched inner loop — the advance-hook check
-    and next-event search run once per distinct timestamp, not once
-    per event.
-
-    Correctness invariants (exercised by the property tests in
-    ``tests/test_kernel_equivalence.py``):
-
-    * **bucket uniqueness** — a bucket only ever holds one distinct
-      timestamp: the live window ``[now, now + WHEEL_SIZE - 1]`` covers
-      each residue class exactly once, and a bucket is emptied before
-      *now* can wrap back onto it.
-    * **migration ordering** — far-future events migrate (in heap
-      order) at *every* time advance, before any callback at the new
-      time runs, so a migrated event always lands in its bucket ahead
-      of any same-time event scheduled later (its sequence number is
-      smaller, and bucket order is append order).
-    * **batched FIFO** — callbacks that schedule for the current cycle
-      append to the bucket being drained and are picked up by the
-      index-based inner loop, preserving (time, seq) order exactly.
-    """
-
-    #: bucket count; power of two so ``time & mask`` is the bucket
-    #: index.  Sized so the occupancy bitmap stays a few machine words
-    #: (bitmap shifts allocate ints of this many bits on every peek)
-    #: while still covering the common component latencies — cache
-    #: fills (≤ ~20 cycles), bank service times (≤ ~176 cycles at the
-    #: paper's timings), scheduler periods — without overflowing to
-    #: the far heap.
-    WHEEL_SIZE = 256
-
-    def __init__(self) -> None:
-        super().__init__()
-        size = self.WHEEL_SIZE
-        self._size = size
-        self._mask = size - 1
-        self._wheel: List[list] = [[] for _ in range(size)]
-        self._occ = 0           # occupancy bitmap: bit i ⇔ bucket i non-empty
-        self._near = 0          # events currently in the wheel
-        self._far = self._queue  # far-future overflow heap (reuses base slot)
-
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` to run at absolute ``time``."""
-        if type(time) is not int:
-            time = _as_cycles(time, "time")
-        now = self.now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule at {time}; current time is {now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        mask = self._mask
-        if time - now <= mask:
-            # The bucket-uniqueness invariant (see class docstring)
-            # guarantees any current occupants are at this same time;
-            # the property tests in test_kernel_equivalence.py exercise
-            # it, so no per-event assert here.
-            idx = time & mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append((time, seq, fn, args))
-            self._near += 1
-        else:
-            heapq.heappush(self._far, (time, seq, fn, args))
-
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return self._near + len(self._far)
-
-    def _migrate(self) -> None:
-        """Pull far-future events now inside the wheel horizon into
-        their buckets.  Must run at every time advance, before any
-        callback at the new time executes."""
-        far = self._far
-        if not far:
-            return
-        horizon = self.now + self._mask
-        mask = self._mask
-        wheel = self._wheel
-        pop = heapq.heappop
-        while far and far[0][0] <= horizon:
-            item = pop(far)
-            idx = item[0] & mask
-            bucket = wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append(item)
-            self._near += 1
-
-    def _peek_bucket(self) -> Optional[list]:
-        """The bucket holding the earliest pending events (after
-        migrating anything due into the wheel), or None if empty."""
-        occ = self._occ
-        if not occ:
-            # Far-only events are outside the horizon; migration
-            # happens once time advances (in step/run), not here.
-            return None
-        # Bucket b >= idx_now holds time now + (b - idx_now); bucket
-        # b < idx_now holds the wrapped time now + (b + size - idx_now).
-        # So the earliest bucket is the first occupied index at or
-        # above idx_now, else the first occupied index from zero —
-        # two cheap shift/lsb probes instead of a full-width rotate.
-        idx_now = self.now & self._mask
-        high = occ >> idx_now
-        if high:
-            idx = idx_now + ((high & -high).bit_length() - 1)
-        else:
-            idx = (occ & -occ).bit_length() - 1
-        return self._wheel[idx]
-
-    def _next_time(self) -> Optional[int]:
-        """Earliest pending timestamp, or None."""
-        bucket = self._peek_bucket()
-        if bucket is not None:
-            return bucket[0][0]
-        if self._far:
-            return self._far[0][0]
-        return None
-
-    def _advance_to(self, time: int) -> None:
-        """Move the clock to ``time``: migrate newly-near far events,
-        then fire the advance hook (matching the reference kernel's
-        hook point — after the clock moves, before any callback)."""
-        self.now = time
-        if self._far:
-            self._migrate()
-        if self._on_advance is not None:
-            self._on_advance(time)
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if none remain."""
-        bucket = self._peek_bucket()
-        if bucket is None:
-            if not self._far:
-                return False
-            self._advance_to(self._far[0][0])
-            bucket = self._wheel[self.now & self._mask]
-        else:
-            time = bucket[0][0]
-            if time != self.now:
-                self._advance_to(time)
-        entry = bucket.pop(0)
-        self._near -= 1
-        if not bucket:
-            self._occ &= ~(1 << (entry[0] & self._mask))
-        entry[2](*entry[3])
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event queue (same contract as the reference
-        kernel; see :meth:`Simulator.run`).
-
-        The peek/advance logic of :meth:`_peek_bucket` /
-        :meth:`_advance_to` is inlined here: this loop runs once per
-        distinct timestamp of the whole simulation, and the two call
-        frames were the largest per-timestamp cost left."""
-        executed = 0
-        limit = max_events if max_events is not None else float("inf")
-        mask = self._mask
-        wheel = self._wheel
-        far = self._far
-        while True:
-            # Cycle-accurate schedules are dense: the next occupied
-            # bucket is almost always within a few cycles of now, so
-            # probe a handful of buckets directly (list index + truth
-            # test) before paying for the bitmap scan, whose multiword
-            # int shifts allocate on every probe.
-            now = self.now
-            idx_now = now & mask
-            bucket = (wheel[idx_now] or wheel[(idx_now + 1) & mask]
-                      or wheel[(idx_now + 2) & mask]
-                      or wheel[(idx_now + 3) & mask])
-            if bucket:
-                time = bucket[0][0]
-            else:
-                # sparse stretch: bitmap scan (see _peek_bucket)
-                occ = self._occ
-                if occ:
-                    high = occ >> idx_now
-                    if high:
-                        idx = idx_now + ((high & -high).bit_length() - 1)
-                    else:
-                        idx = (occ & -occ).bit_length() - 1
-                    bucket = wheel[idx]
-                    time = bucket[0][0]
-                elif far:
-                    bucket = None
-                    time = far[0][0]
-                else:
-                    break
-            if until is not None and time > until:
-                break
-            if time != now:
-                # inline _advance_to: clock forward, migrate, hook
-                self.now = time
-                if far:
-                    self._migrate()
-                if self._on_advance is not None:
-                    self._on_advance(time)
-                if bucket is None:
-                    bucket = wheel[time & mask]
-            # Batched same-cycle drain: every entry in this bucket is at
-            # ``time``; callbacks may append same-cycle events (picked up
-            # by the index loop) or touch other buckets / the far heap
-            # (handled by the outer loop's fresh scan).
-            i = 0
-            n = len(bucket)
-            try:
-                while i < n:
-                    entry = bucket[i]
-                    i += 1
-                    entry[2](*entry[3])
-                    executed += 1
-                    if executed > limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "probable livelock")
-                    if i == n:
-                        # batch boundary: pick up same-cycle events the
-                        # callbacks just appended
-                        n = len(bucket)
-            finally:
-                if i:
-                    del bucket[:i]
-                    self._near -= i
-                    if not bucket:
-                        self._occ &= ~(1 << (time & mask))
-        if until is not None and self.now < until:
-            # Match the reference kernel's quiet clock jump (no advance
-            # hook), but still migrate so later near-horizon schedules
-            # cannot leapfrog older far-future events in bucket order.
-            self.now = until
-            self._migrate()
-        return executed
-
-
-class ColumnarSimulator(TimingWheelSimulator):
-    """Timing wheel with columnar bucket storage.
-
-    The object wheel stores one ``(time, seq, fn, args)`` tuple per
-    event.  Two of those fields are redundant inside a bucket: the
-    bucket-uniqueness invariant means every event in a bucket shares
-    one timestamp, and the batched-FIFO invariant means bucket append
-    order *is* (time, seq) order.  So here a bucket is a flat
-    ``[fn, args, fn, args, ...]`` column — no per-event tuple is ever
-    allocated — and bucket timestamps live in one parallel
-    ``_btime`` column indexed by bucket.  Only far-future overflow
-    events (beyond the wheel horizon) still carry ``(time, seq, fn,
-    args)`` tuples, because the heap needs explicit keys; they shed
-    the tuple when they migrate into the wheel.
-
-    Sequence numbers are only assigned to far-heap pushes.  Ordering
-    stays exact: a far event at time T always migrates at the clock
-    advance that brings T inside the horizon, *before* any near event
-    at T can be scheduled (T was outside the horizon until that very
-    advance), so flat append order equals global (time, seq) order.
-
-    Firing order, advance-hook points, ``run(until=...,
-    max_events=...)`` semantics, ``pending()`` counts and final clock
-    values are all identical to the object kernels; the three-way
-    matrix in ``tests/test_kernel_equivalence.py`` holds this to
-    bit-identity.  ``columnar = True`` additionally switches component
-    fast paths (controller parked polls, columnar TC, compiled-trace
-    columns) — each of which preserves the exact event stream and
-    stats of the object path.
-    """
-
-    columnar = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        # parallel column: _btime[i] is the timestamp of bucket i's
-        # events, valid whenever bucket i is non-empty.  _near counts
-        # occupied column *slots* here (two per event), so bucket
-        # drains can subtract raw slot counts.
-        self._btime: List[int] = [0] * self._size
-
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` to run at absolute ``time``."""
-        if type(time) is not int:
-            time = _as_cycles(time, "time")
-        now = self.now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule at {time}; current time is {now}"
-            )
-        mask = self._mask
-        if time - now <= mask:
-            idx = time & mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-                self._btime[idx] = time
-            bucket.append(fn)
-            bucket.append(args)
-            self._near += 2
-        else:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._far, (time, seq, fn, args))
-
-    def schedule_tick(self, time: int, fn: Callable[[], Any]) -> None:
-        """Near-horizon fast append for self-rescheduling tick chains.
-
-        The caller guarantees ``now <= time <= now + horizon`` and an
-        int ``time`` (a chain re-arm is always ``now + small``), so the
-        argument checks and the far-heap branch of :meth:`schedule_at`
-        are skipped.  ``fn`` takes no arguments (chain callbacks read
-        the clock).  Ordering is identical: the pair lands exactly
-        where ``schedule_at`` would have appended it."""
-        idx = time & self._mask
-        bucket = self._wheel[idx]
-        if not bucket:
-            self._occ |= 1 << idx
-            self._btime[idx] = time
-        bucket.append(fn)
-        bucket.append(())
-        self._near += 2
-
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return (self._near >> 1) + len(self._far)
-
-    def _migrate(self) -> None:
-        """Pull far-future events now inside the wheel horizon into
-        their buckets, shedding the heap tuple into the flat columns."""
-        far = self._far
-        if not far:
-            return
-        horizon = self.now + self._mask
-        mask = self._mask
-        wheel = self._wheel
-        btime = self._btime
-        pop = heapq.heappop
-        while far and far[0][0] <= horizon:
-            time, _seq, fn, args = pop(far)
-            idx = time & mask
-            bucket = wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-                btime[idx] = time
-            bucket.append(fn)
-            bucket.append(args)
-            self._near += 2
-
-    def _earliest_bucket_index(self) -> Optional[int]:
-        """Index of the bucket holding the earliest pending events, or
-        None when the wheel is empty (far heap not consulted — far
-        events are beyond the horizon, hence later than any wheel
-        event)."""
-        occ = self._occ
-        if not occ:
-            return None
-        idx_now = self.now & self._mask
-        high = occ >> idx_now
-        if high:
-            return idx_now + ((high & -high).bit_length() - 1)
-        return (occ & -occ).bit_length() - 1
-
-    def _peek_bucket(self) -> Optional[list]:
-        idx = self._earliest_bucket_index()
-        return None if idx is None else self._wheel[idx]
-
-    def _next_time(self) -> Optional[int]:
-        """Earliest pending timestamp, or None."""
-        idx = self._earliest_bucket_index()
-        if idx is not None:
-            return self._btime[idx]
-        if self._far:
-            return self._far[0][0]
-        return None
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if none remain."""
-        idx = self._earliest_bucket_index()
-        if idx is None:
-            if not self._far:
-                return False
-            self._advance_to(self._far[0][0])
-            idx = self.now & self._mask
-        else:
-            time = self._btime[idx]
-            if time != self.now:
-                self._advance_to(time)
-        bucket = self._wheel[idx]
-        fn = bucket[0]
-        args = bucket[1]
-        del bucket[:2]
-        self._near -= 2
-        if not bucket:
-            self._occ &= ~(1 << idx)
-        fn(*args)
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event queue (same contract as the reference
-        kernel; see :meth:`Simulator.run`).
-
-        Structured like the object wheel's run loop, draining flat
-        ``fn, args`` pairs: the direct 4-bucket probe exploits the fact
-        that a non-empty bucket at index ``(now + k) & mask`` *must*
-        hold time ``now + k`` (the live window covers each residue
-        class exactly once), so the probes need no timestamp reads at
-        all."""
-        executed = 0
-        limit = max_events if max_events is not None else float("inf")
-        mask = self._mask
-        wheel = self._wheel
-        far = self._far
-        btime = self._btime
-        while True:
-            now = self.now
-            idx_now = now & mask
-            time = now
-            bucket = wheel[idx_now]
-            if not bucket:
-                time = now + 1
-                bucket = wheel[(idx_now + 1) & mask]
-                if not bucket:
-                    time = now + 2
-                    bucket = wheel[(idx_now + 2) & mask]
-                    if not bucket:
-                        time = now + 3
-                        bucket = wheel[(idx_now + 3) & mask]
-            if not bucket:
-                # sparse stretch: bitmap scan (see the object wheel)
-                occ = self._occ
-                if occ:
-                    high = occ >> idx_now
-                    if high:
-                        idx = idx_now + ((high & -high).bit_length() - 1)
-                    else:
-                        idx = (occ & -occ).bit_length() - 1
-                    bucket = wheel[idx]
-                    time = btime[idx]
-                elif far:
-                    bucket = None
-                    time = far[0][0]
-                else:
-                    break
-            if until is not None and time > until:
-                break
-            if time != now:
-                # inline _advance_to: clock forward, migrate, hook
-                # (migration head-checked inline — far events beyond
-                # the new horizon are the common case on poll chains)
-                self.now = time
-                if far and far[0][0] <= time + mask:
-                    self._migrate()
-                if self._on_advance is not None:
-                    self._on_advance(time)
-                if bucket is None:
-                    bucket = wheel[time & mask]
-            # Batched same-cycle drain over the flat column; callbacks
-            # may append same-cycle pairs (picked up by the index loop).
-            i = 0
-            n = len(bucket)
-            try:
-                while i < n:
-                    fn = bucket[i]
-                    args = bucket[i + 1]
-                    i += 2
-                    fn(*args)
-                    executed += 1
-                    if executed > limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "probable livelock")
-                    if i == n:
-                        # batch boundary: pick up same-cycle appends
-                        n = len(bucket)
-            finally:
-                if i:
-                    del bucket[:i]
-                    self._near -= i
-                    if not bucket:
-                        self._occ &= ~(1 << (time & mask))
-        if until is not None and self.now < until:
-            # Match the reference kernel's quiet clock jump (no advance
-            # hook), but still migrate so later near-horizon schedules
-            # cannot leapfrog older far-future events in bucket order.
-            self.now = until
-            self._migrate()
-        return executed
-
-
 def default_kernel() -> str:
-    """Kernel name selected by the environment (or the default)."""
-    kernel = os.environ.get(KERNEL_ENV, DEFAULT_KERNEL).strip().lower()
-    return kernel or DEFAULT_KERNEL
-
-
-def create_simulator(kernel: Optional[str] = None) -> Simulator:
-    """Build an event kernel.
-
-    ``kernel`` may be ``"wheel"`` (timing wheel, the default),
-    ``"heap"`` (the heapq reference kernel) or ``"columnar"`` (the
-    columnar batch kernel); when omitted, the ``REPRO_SIM_KERNEL``
-    environment variable decides.  All three are observationally
-    equivalent — every figure is bit-identical under any of them — so
-    this is a performance/verification knob, not a modelling one.
-    """
-    name = (kernel or default_kernel()).strip().lower()
-    if name == "wheel":
-        return TimingWheelSimulator()
-    if name == "heap":
-        return Simulator()
-    if name == "columnar":
-        return ColumnarSimulator()
-    raise SimulationError(
-        f"unknown simulator kernel {name!r} (expected one of {KERNEL_NAMES})")
+    """Name of the event kernel every :class:`System` runs on."""
+    return "heap"

@@ -138,8 +138,7 @@ class CompiledTrace:
     ``counts[i]`` its instruction count (an ``array('q')`` int column),
     and ``persistent[i]`` its P/V flag (byte column).  Scanning flat
     columns is markedly cheaper than touching a Python object per
-    retired op, and the aggregate reductions over them run in C (with
-    an optional numpy fast path — see :mod:`repro.common.columns`)."""
+    retired op (see :mod:`repro.common.columns`)."""
 
     __slots__ = ("kinds", "counts", "persistent")
 

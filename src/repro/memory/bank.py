@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Tuple
 
-from ..common.columns import column_min, int_column
+from ..common.columns import int_column
 from ..common.config import MemCtrlConfig
 from ..common.types import NVM_BASE, is_log_region
 
@@ -197,5 +197,5 @@ class BankArray:
         """Cycle at which the soonest-free bank becomes available."""
         column = self.busy_column
         if column is not None:
-            return column_min(column)
+            return min(column)
         return min([b.busy_until for b in self.banks])

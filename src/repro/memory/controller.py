@@ -51,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 AckHandler = Callable[[MemRequest, int], None]
 
-#: "no starvation grant while parked" sentinel — larger than any cycle
-_NEVER = 1 << 62
-
 
 class DurableImage:
     """Timeline of versions that have physically reached the memory.
@@ -165,23 +162,6 @@ class MemoryController:
         # that queue version provably stays None while now < none_until
         # (busy_until never decreases between bank accesses)
         self._scan_memo: Dict[str, Tuple[int, int]] = {}
-        # Columnar kernels park the scheduler after a failed scan: until
-        # the earliest *candidate* bank frees (min busy_until over the
-        # banks the scan actually consulted), every poll is a provable
-        # no-op — queue contents, drain mode and bank states cannot
-        # change without an enqueue/service (which unparks) or that
-        # bank's completion (which lands at/after the horizon).  Parked
-        # polls keep the object kernels' exact tick times and stats
-        # (including per-poll starvation grants) while skipping the
-        # scan/drain/starvation machinery.  Refresh-free banks only:
-        # DRAM refresh catch-up is a per-scan side effect the parked
-        # path must not skip.
-        self._columnar = bool(getattr(sim, "columnar", False))
-        self._park = self._columnar and self._no_refresh
-        self._parked_until: Optional[int] = None
-        self._park_earliest = 0
-        self._park_grant_from = _NEVER
-        self._scan_horizon: Optional[int] = None
         base = stats.base
         self._inc = base.inc
         self._hist = base.hist
@@ -222,8 +202,6 @@ class MemoryController:
             self.read_queue.push(request)
         if self.tracer.enabled:
             self._trace_queues()
-        # queue contents changed: the parked-scan snapshot is stale
-        self._parked_until = None
         self._kick(now + 1)
 
     def _trace_queues(self) -> None:
@@ -271,24 +249,6 @@ class MemoryController:
         if self._tick_at != now:
             return  # superseded by an earlier kick
         self._tick_at = None
-        parked = self._parked_until
-        if parked is not None:
-            if now < parked:
-                # Elided poll (columnar fast path): nothing observable
-                # can have changed since the scan that parked us, so
-                # replay only the object path's observable effects —
-                # the per-poll starvation-grant stat and the identical
-                # re-arm time — and skip the scan entirely.
-                if now >= self._park_grant_from:
-                    self._inc(self._k_starvation_grants)
-                earliest = self._park_earliest
-                if earliest <= now:
-                    earliest = now + 1
-                self._tick_at = earliest
-                self.sim.schedule_at(earliest, self._tick)
-                return
-            self._parked_until = None
-        self._scan_horizon = None
         read_queue = self.read_queue
         write_queue = self.write_queue
         w_entries = write_queue.entries
@@ -308,7 +268,7 @@ class MemoryController:
                                        > self.WRITE_STARVATION_LIMIT)
         if drain or starved:
             if starved and not drain:
-                self.stats.inc("write.starvation_grants")
+                self._inc(self._k_starvation_grants)
             queues = (write_queue, read_queue)
         else:
             queues = (read_queue, write_queue)
@@ -334,86 +294,18 @@ class MemoryController:
                     if earliest is None:
                         earliest = self._earliest = \
                             self.banks.earliest_available()
-                    horizon = self._scan_horizon
-                    if self._park and horizon is not None:
-                        # Park until the earliest candidate bank frees:
-                        # polls until then take the elided fast path
-                        # above.  Snapshot everything those polls need
-                        # — bank states and queue contents are frozen
-                        # while parked (any change unparks first).
-                        self._parked_until = horizon
-                        self._park_earliest = earliest
-                        if w_entries and not self._drain_mode:
-                            self._park_grant_from = (
-                                self._last_write_service
-                                + self.WRITE_STARVATION_LIMIT + 1)
-                        else:
-                            self._park_grant_from = _NEVER
                 else:
                     earliest = self.banks.earliest_available()
                 if earliest <= now:
                     earliest = now + 1
                 self._tick_at = earliest
-                parked = self._parked_until
-                if parked is not None and earliest < parked:
-                    # chain polls inside the span take the slim path
-                    self.sim.schedule_at(earliest, self._tick_parked)
-                else:
-                    self.sim.schedule_at(earliest, self._tick)
+                self.sim.schedule_at(earliest, self._tick)
             return
         self._service(request)
         if read_queue.entries or write_queue.entries:
             at_time = now + self._period
             self._tick_at = at_time
             self.sim.schedule_at(at_time, self._tick)
-
-    def _tick_parked(self) -> None:
-        """Parked-chain poll (columnar kernels only): replay the full
-        tick's observable effects — the per-poll starvation-grant stat
-        and the identical re-arm time — with none of its machinery.
-
-        Fires at exactly the cycles the object kernels' polls fire at
-        (same schedule sites, same bucket positions), so the event
-        stream stays bit-identical; only the per-poll cost changes.
-        Any state change (enqueue, service) unparks first, which sends
-        the next firing straight to the full :meth:`_tick`."""
-        sim = self.sim
-        now = sim.now
-        if self._tick_at != now:
-            return  # superseded by an earlier kick
-        parked = self._parked_until
-        if parked is not None and now < parked:
-            if now >= self._park_grant_from:
-                self._inc(self._k_starvation_grants)
-            earliest = self._park_earliest
-            if earliest <= now:
-                nxt = now + 1
-                self._tick_at = nxt
-                if nxt < parked:
-                    # inline of ColumnarSimulator.schedule_tick — this
-                    # append runs once per parked cycle, the hottest
-                    # single schedule site in a figure run
-                    idx = nxt & sim._mask
-                    bucket = sim._wheel[idx]
-                    if not bucket:
-                        sim._occ |= 1 << idx
-                        sim._btime[idx] = nxt
-                    bucket.append(self._tick_parked)
-                    bucket.append(())
-                    sim._near += 2
-                else:
-                    sim.schedule_at(nxt, self._tick)
-            else:
-                # mid-span jump (all banks busy): may exceed the wheel
-                # horizon, so take the generic scheduling path
-                self._tick_at = earliest
-                if earliest < parked:
-                    sim.schedule_at(earliest, self._tick_parked)
-                else:
-                    sim.schedule_at(earliest, self._tick)
-            return
-        # unparked while this poll was in flight, or horizon reached
-        self._tick()
 
     def _flip_drain_mode(self, drain: bool, write_depth: int) -> None:
         self._drain_mode = drain
@@ -446,10 +338,6 @@ class MemoryController:
             # moves through _service (which clears the memo), so the
             # scan outcome cannot have changed.  Skipping it is safe
             # because refresh-free scans have no side effects.
-            none_until = memo[1]
-            horizon = self._scan_horizon
-            if horizon is None or none_until < horizon:
-                self._scan_horizon = none_until
             return None
         if len(entries) == 1:
             # single candidate (the common read-queue case): no seen-set
@@ -461,9 +349,6 @@ class MemoryController:
                 bank._catch_up_refresh(now)
             busy_until = bank.busy_until
             if now < busy_until:
-                horizon = self._scan_horizon
-                if horizon is None or busy_until < horizon:
-                    self._scan_horizon = busy_until
                 if self._no_refresh:
                     self._scan_memo[queue.name] = (queue.version, busy_until)
                 return None
@@ -489,25 +374,18 @@ class MemoryController:
                 return request
             if fallback is None:
                 fallback = request
-        if fallback is None and min_busy is not None:
-            # The earliest any of this queue's candidates frees up —
-            # feeds the scan memo and the columnar parking horizon.
-            horizon = self._scan_horizon
-            if horizon is None or min_busy < horizon:
-                self._scan_horizon = min_busy
-            if self._no_refresh:
-                self._scan_memo[queue.name] = (queue.version, min_busy)
+        if self._no_refresh and fallback is None and min_busy is not None:
+            # the earliest any of this queue's candidates frees up
+            self._scan_memo[queue.name] = (queue.version, min_busy)
         return fallback
 
     def _service(self, request: MemRequest) -> None:
         now = self.sim.now
         # The bank access below moves busy_until (fault-injected write
         # retries may even *lower* it, servicing a busy bank), so every
-        # cached availability fact is stale after this point — the
-        # parked-poll snapshot included (fault retries reach here
-        # directly, outside any scheduler tick).
+        # cached availability fact is stale after this point (fault
+        # retries reach here directly, outside any scheduler tick).
         self._earliest = None
-        self._parked_until = None
         if self._scan_memo:
             self._scan_memo.clear()
         bank_state = request.bank

@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import MachineConfig, small_machine_config
-from ..common.event import create_simulator
+from ..common.event import Simulator
 from ..common.stats import Stats
 from ..common.types import SchemeName
 from ..cpu.core import Core
@@ -29,10 +29,7 @@ class System:
                  scheme_name: Union[str, SchemeName],
                  obs: Optional[Observability] = None) -> None:
         self.config = config
-        # Kernel choice (timing wheel vs reference heapq) is a pure
-        # performance knob — both kernels are observationally
-        # equivalent, so it is not part of the config fingerprint.
-        self.sim = create_simulator()
+        self.sim = Simulator()
         self.stats = Stats()
         # Observability is deliberately *not* part of MachineConfig —
         # enabling a trace must never change config fingerprints or

@@ -1,27 +1,22 @@
 """Unit tests for the discrete-event kernel.
 
-Every behavioural test is parametrized over both kernels — the heapq
-reference :class:`Simulator` and the :class:`TimingWheelSimulator` —
-because the two must be observationally indistinguishable.
+The example tests pin each clause of the :class:`Simulator` contract;
+the hypothesis tests at the end check random schedule programs against
+a tiny sorted-by-(time, seq) model of the same contract.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.event import (
-    KERNEL_ENV,
-    SimulationError,
-    Simulator,
-    TimingWheelSimulator,
-    create_simulator,
-    default_kernel,
-)
-
-WHEEL = TimingWheelSimulator.WHEEL_SIZE
+from repro.common.event import SimulationError, Simulator, default_kernel
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def sim(request):
-    return create_simulator(request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def test_events_run_in_time_order(sim):
@@ -129,7 +124,7 @@ def test_advance_hook_fires_between_time_steps(sim):
 
 def test_advance_hook_not_fired_on_until_jump(sim):
     """run(until=...) jumping the clock past the last event is a quiet
-    jump in the reference kernel; the wheel must match."""
+    jump: the hook only sees times at which events fire."""
     log = []
     sim.schedule(2, lambda: None)
     sim.set_advance_hook(lambda t: log.append(t))
@@ -171,117 +166,239 @@ def test_non_numeric_time_rejected(sim):
         sim.schedule("soon", lambda: None)
 
 
-# ---------------------------------------------------------------------------
-# Timing-wheel specifics: far-future overflow and migration ordering.
-
-def test_wheel_far_future_events_fire_in_order():
-    sim = TimingWheelSimulator()
-    order = []
-    sim.schedule(3 * WHEEL + 5, order.append, "far")
-    sim.schedule(2, order.append, "near")
-    assert sim.pending() == 2
-    sim.run()
-    assert order == ["near", "far"]
-    assert sim.now == 3 * WHEEL + 5
-
-
-def test_wheel_migrated_event_precedes_later_same_cycle_schedule():
-    """A far-future event scheduled FIRST must still run before a
-    same-timestamp event scheduled later from within the horizon —
-    migration must beat direct bucket inserts."""
-    sim = TimingWheelSimulator()
-    target = 2 * WHEEL + 10
-    order = []
-    sim.schedule_at(target, order.append, "scheduled-first-from-afar")
-
-    def near_scheduler():
-        sim.schedule_at(target, order.append, "scheduled-second-from-near")
-
-    # runs inside the horizon of `target`, after the far schedule
-    sim.schedule_at(target - 5, near_scheduler)
-    sim.run()
-    assert order == ["scheduled-first-from-afar",
-                     "scheduled-second-from-near"]
-
-
-def test_wheel_until_jump_migrates_far_events():
-    """After run(until=...) jumps the clock, a previously-far event now
-    inside the horizon must still order before later same-cycle
-    schedules."""
-    sim = TimingWheelSimulator()
-    target = WHEEL + 50
-    order = []
-    sim.schedule_at(target, order.append, "old-far")
-    sim.run(until=WHEEL)          # quiet jump; `target` is now near
-    assert sim.now == WHEEL
-    sim.schedule_at(target, order.append, "new-near")
-    sim.run()
-    assert order == ["old-far", "new-near"]
-
-
-def test_wheel_same_cycle_burst_across_horizon_boundary():
-    sim = TimingWheelSimulator()
-    order = []
-    for tag in range(4):
-        sim.schedule_at(WHEEL - 1, order.append, ("edge", tag))
-    for tag in range(4):
-        sim.schedule_at(WHEEL, order.append, ("far", tag))
-    sim.run()
-    assert order == ([("edge", t) for t in range(4)]
-                     + [("far", t) for t in range(4)])
-
-
-def test_wheel_max_events_raise_keeps_state_consistent():
-    """A mid-bucket max_events abort must leave already-run events
-    removed so a resumed run() continues from the right place."""
-    sim = TimingWheelSimulator()
+def test_max_events_abort_leaves_the_rest_queued(sim):
+    """A mid-cycle max_events abort removes only the events that ran,
+    so a resumed run() continues from the right place."""
     order = []
     for tag in range(6):
         sim.schedule(1, order.append, tag)
     with pytest.raises(SimulationError):
         sim.run(max_events=3)
-    assert order == [0, 1, 2, 3]          # same as the reference kernel
+    assert order == [0, 1, 2, 3]
     assert sim.pending() == 2
     sim.run()
     assert order == list(range(6))
 
 
-def test_wheel_matches_heap_on_max_events_abort():
-    def build(kernel):
-        s = create_simulator(kernel)
-        fired = []
-        for tag in range(6):
-            s.schedule(1, fired.append, tag)
-        return s, fired
+def test_max_events_equal_to_event_count_does_not_raise(sim):
+    """The valve trips only when *more* than max_events fire."""
+    for delay in range(5):
+        sim.schedule(delay, lambda: None)
+    assert sim.run(max_events=5) == 5
+    assert sim.pending() == 0
 
-    heap_sim, heap_fired = build("heap")
-    wheel_sim, wheel_fired = build("wheel")
-    for s in (heap_sim, wheel_sim):
-        with pytest.raises(SimulationError):
-            s.run(max_events=3)
-    assert wheel_fired == heap_fired
-    assert wheel_sim.pending() == heap_sim.pending()
-    assert wheel_sim.now == heap_sim.now
+
+def test_events_at_exactly_until_still_run(sim):
+    fired = []
+    sim.schedule(10, fired.append, "edge")
+    sim.schedule(11, fired.append, "after")
+    assert sim.run(until=10) == 1
+    assert fired == ["edge"]
+    assert sim.pending() == 1
+
+
+def test_run_until_in_the_past_keeps_the_clock(sim):
+    sim.schedule(20, lambda: None)
+    sim.run()
+    assert sim.run(until=5) == 0
+    assert sim.now == 20
+
+
+def test_run_on_empty_queue_returns_zero_and_keeps_the_clock(sim):
+    assert sim.run() == 0
+    assert sim.now == 0
+
+
+def test_zero_delay_schedule_runs_after_queued_same_cycle_events(sim):
+    """An event a callback schedules for the current cycle fires in the
+    same cycle, after every event already queued for it."""
+    order = []
+
+    def first():
+        order.append("first")
+        sim.schedule(0, order.append, "spawned")
+
+    sim.schedule(4, first)
+    sim.schedule(4, order.append, "second")
+    sim.run()
+    assert order == ["first", "second", "spawned"]
+    assert sim.now == 4
+
+
+def test_schedule_at_current_time_from_callback_fires_this_cycle(sim):
+    times = []
+    sim.schedule(7, lambda: sim.schedule_at(sim.now, times.append, "now"))
+    sim.run()
+    assert times == ["now"]
+    assert sim.now == 7
+
+
+def test_far_future_events_fire_in_order(sim):
+    """Delays spanning several orders of magnitude still fire in
+    (time, insertion) order."""
+    order = []
+    delays = [10**6, 3, 10**9, 500, 10**6, 0, 70_000]
+    for tag, delay in enumerate(delays):
+        sim.schedule(delay, order.append, tag)
+    sim.run()
+    assert order == sorted(range(len(delays)),
+                           key=lambda tag: (delays[tag], tag))
+    assert sim.now == 10**9
+
+
+def test_step_fires_advance_hook_only_when_time_moves(sim):
+    log = []
+    sim.set_advance_hook(log.append)
+    sim.schedule(2, lambda: None)
+    sim.schedule(2, lambda: None)
+    sim.schedule(9, lambda: None)
+    while sim.step():
+        pass
+    assert log == [2, 9]
+
+
+def test_advance_hook_can_be_removed(sim):
+    log = []
+    sim.set_advance_hook(log.append)
+    sim.schedule(1, lambda: None)
+    sim.run()
+    sim.set_advance_hook(None)
+    sim.schedule(1, lambda: None)
+    sim.run()
+    assert log == [1]
+    assert sim.now == 2
+
+
+def test_callback_receives_its_arguments(sim):
+    seen = []
+    sim.schedule(1, lambda *args: seen.append(args), "a", 2, None)
+    sim.run()
+    assert seen == [("a", 2, None)]
+
+
+def test_default_kernel_is_heap():
+    assert default_kernel() == "heap"
 
 
 # ---------------------------------------------------------------------------
-# Kernel factory.
+# Random schedule programs against a sorted-list model of the contract.
 
-def test_create_simulator_kernels():
-    assert type(create_simulator("heap")) is Simulator
-    assert type(create_simulator("wheel")) is TimingWheelSimulator
-
-
-def test_create_simulator_reads_environment(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "heap")
-    assert default_kernel() == "heap"
-    assert type(create_simulator()) is Simulator
-    monkeypatch.setenv(KERNEL_ENV, "wheel")
-    assert type(create_simulator()) is TimingWheelSimulator
-    monkeypatch.delenv(KERNEL_ENV)
-    assert type(create_simulator()) is TimingWheelSimulator
+# A schedule node is (delay, children): when the node's event fires, it
+# schedules each child relative to the firing time.  Recursion gives
+# programs where callbacks schedule callbacks — the shape every
+# simulator component has.
+_DELAYS = st.integers(min_value=0, max_value=600)
+_NODES = st.recursive(
+    st.tuples(_DELAYS, st.just(())),
+    lambda children: st.tuples(_DELAYS, st.lists(children, max_size=3).map(tuple)),
+    max_leaves=24,
+)
+_PROGRAMS = st.lists(_NODES, min_size=1, max_size=8)
 
 
-def test_create_simulator_rejects_unknown_kernel():
-    with pytest.raises(SimulationError, match="unknown simulator kernel"):
-        create_simulator("fifo")
+def _execute(sim, program, untils=(), max_events=None):
+    """Run ``program`` on ``sim``; return every observable the kernel
+    contract promises (firing log, hook calls, counts, clock)."""
+    firing_log = []
+    hook_calls = []
+    sim.set_advance_hook(hook_calls.append)
+    labels = itertools.count()
+
+    def fire(label, children):
+        firing_log.append((sim.now, label))
+        for child in children:
+            schedule(child)
+
+    def schedule(node):
+        delay, children = node
+        sim.schedule(delay, fire, next(labels), children)
+
+    for node in program:
+        schedule(node)
+    executed = []
+    aborted = False
+    try:
+        for until in untils:
+            executed.append(sim.run(until=until))
+        executed.append(sim.run(max_events=max_events))
+    except SimulationError:
+        aborted = True
+    return {
+        "firing_log": firing_log,
+        "hook_calls": hook_calls,
+        "executed": executed,
+        "aborted": aborted,
+        "now": sim.now,
+        "pending": sim.pending(),
+    }
+
+
+class _SortedModel:
+    """The kernel contract in its plainest form: a list of
+    ``(time, seq, fn, args)`` re-sorted on every pop."""
+
+    def __init__(self):
+        self.now = 0
+        self._events = []
+        self._seq = 0
+        self._hook = None
+
+    def set_advance_hook(self, hook):
+        self._hook = hook
+
+    def schedule(self, delay, fn, *args):
+        self._events.append((self.now + delay, self._seq, fn, args))
+        self._seq += 1
+
+    def pending(self):
+        return len(self._events)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._events:
+            self._events.sort(key=lambda event: event[:2])
+            time, _seq, fn, args = self._events[0]
+            if until is not None and time > until:
+                break
+            del self._events[0]
+            if time > self.now:
+                self.now = time
+                self._hook(time)
+            fn(*args)
+            executed += 1
+            if max_events is not None and executed > max_events:
+                raise SimulationError("max_events")
+        if until is not None and self.now < until:
+            self.now = until
+        return executed
+
+
+def _assert_matches_model(program, **kwargs):
+    assert _execute(Simulator(), program, **kwargs) == \
+        _execute(_SortedModel(), program, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_PROGRAMS)
+def test_random_programs_match_model_full_drain(program):
+    _assert_matches_model(program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=_PROGRAMS,
+    untils=st.lists(st.integers(min_value=0, max_value=2000),
+                    max_size=3).map(sorted),
+)
+def test_random_programs_match_model_segmented_run(program, untils):
+    """run(until=...) segments, quiet clock jumps included, leave the
+    kernel in the model's state."""
+    _assert_matches_model(program, untils=untils)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_PROGRAMS, max_events=st.integers(min_value=1, max_value=30))
+def test_random_programs_match_model_max_events_abort(program, max_events):
+    """The livelock valve trips after the same event as the model,
+    leaving the same partial firing log, clock and queue."""
+    _assert_matches_model(program, max_events=max_events)

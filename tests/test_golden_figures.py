@@ -117,19 +117,15 @@ def test_figure_pair_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE_PAIRS))
-def test_figure_pair_matches_golden_under_columnar_kernel(monkeypatch, name):
-    """Regenerate nothing: the committed snapshot passes unmodified
-    under the columnar kernel.  This pins zero numeric drift — the
-    columnar core is a throughput change, not a modelling one, and the
-    golden file is shared by all kernels."""
-    from repro.common.event import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "columnar")
+def test_figure_pair_matches_golden_on_exact_polls(exact_polls, name):
+    """Regenerate nothing: the committed snapshot passes unmodified with
+    the NVM controller's scan memo and cached bank horizon turned off.
+    Those shortcuts are a throughput change, not a modelling one."""
     golden = load_golden()[name]
-    actual = simulate(name)
+    actual = exact_polls(simulate, name)
     lines = diff_dicts(golden, actual)
     assert not lines, (
-        f"{name} drifted under the columnar kernel "
+        f"{name} drifted on the exact poll path "
         f"({len(lines)} fields):\n" + "\n".join(lines))
 
 

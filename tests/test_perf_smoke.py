@@ -1,7 +1,6 @@
 """Opt-in performance smoke gate (CI perf-smoke job).
 
-Runs the two smoke benchmark points under the default (wheel) kernel
-and fails if normalized events/sec regresses more than the tolerance
+Runs the two smoke benchmark points and fails if normalized events/sec regresses more than the tolerance
 against the committed ``benchmarks/perf/BENCH_kernel.json``.
 
 Wall-clock assertions are inherently machine- and load-sensitive, so
@@ -19,8 +18,8 @@ import os
 import pytest
 
 from repro.bench.kernel import (
-    DEFAULT_TOLERANCE,
     SMOKE_POINTS,
+    TOLERANCE,
     compare_reports,
     format_report,
     load_baseline,
@@ -36,9 +35,8 @@ pytestmark = pytest.mark.skipif(
 
 def test_smoke_points_within_tolerance_of_baseline():
     baseline = load_baseline()
-    report = run_bench(SMOKE_POINTS, kernels=("wheel",), repeats=3)
-    failures = compare_reports(baseline, report, kernel="wheel",
-                               tolerance=DEFAULT_TOLERANCE,
+    report = run_bench(SMOKE_POINTS, repeats=3)
+    failures = compare_reports(baseline, report, tolerance=TOLERANCE,
                                keys=[point.key for point in SMOKE_POINTS])
     assert not failures, (
         "perf regression vs committed baseline:\n  "
