@@ -11,7 +11,7 @@ Usage (from the repository root)::
 ``--update`` runs the full point set and rewrites
 ``benchmarks/perf/BENCH_kernel.json`` — commit the diff together with
 whatever change moved the numbers.  ``--check`` (the CI perf-smoke
-job) runs the smoke points and fails if normalized events/sec regresses
+job) runs the smoke points and fails if normalized cycles/sec regresses
 more than the tolerance (default 10%) on any of them.
 """
 
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=2,
                         help="fresh runs per point, best wall kept")
     parser.add_argument("--tolerance", type=float, default=TOLERANCE,
-                        help="allowed normalized events/sec drop for "
+                        help="allowed normalized cycles/sec drop for "
                              "--check (default %(default)s)")
     parser.add_argument("--check", action="store_true",
                         help="fail (exit 1) on a regression vs the "

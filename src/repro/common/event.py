@@ -106,6 +106,13 @@ class Simulator:
         """Number of events still queued."""
         return len(self._queue)
 
+    def next_time(self) -> Optional[int]:
+        """Time of the next queued event (``None`` when none remain).
+
+        Called from inside an event, a result equal to ``now`` means
+        more events are still due this cycle."""
+        return self._queue[0][0] if self._queue else None
+
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remain."""
         if not self._queue:

@@ -151,10 +151,10 @@ class MemoryController:
         self._drain_low = self._drain_high / 2
         # Refresh-free (NVM) banks have *pure* scans: a scan's only side
         # effect is DRAM refresh catch-up, so for NVM a failed scan can
-        # be memoized and the bank-availability horizon cached without
-        # perturbing any timing.  DRAM keeps the exact per-tick path
-        # (its per-tick catch-ups move busy_until, which feeds the
-        # re-kick target).
+        # be memoized, the bank-availability horizon cached and the
+        # chain of failing polls skipped without perturbing any timing.
+        # DRAM keeps the exact per-tick path (its per-tick catch-ups
+        # move busy_until, which feeds the re-kick target).
         self._no_refresh = config.timing.refresh_interval_ns <= 0
         # cached banks.earliest_available(); invalidated on every access
         self._earliest: Optional[int] = None
@@ -162,6 +162,9 @@ class MemoryController:
         # that queue version provably stays None while now < none_until
         # (busy_until never decreases between bank accesses)
         self._scan_memo: Dict[str, Tuple[int, int]] = {}
+        # first skipped poll of the pending jump that would have granted
+        # a starved write; settled when the jump lands or is cut short
+        self._grants_from: Optional[int] = None
         base = stats.base
         self._inc = base.inc
         self._hist = base.hist
@@ -223,9 +226,14 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _kick(self, at_time: int) -> None:
         """Ensure a scheduler tick is pending no later than ``at_time``."""
-        at_time = max(at_time, self.sim.now)
+        now = self.sim.now
+        at_time = max(at_time, now)
         if self._tick_at is not None and self._tick_at <= at_time:
             return
+        if self._grants_from is not None:
+            # Only an enqueue between run(until=...) pauses can cut a
+            # jump short: the skipped chain had polled up to now.
+            self._settle_grants(now + 1)
         self._tick_at = at_time
         self.sim.schedule_at(at_time, self._tick)
 
@@ -249,6 +257,8 @@ class MemoryController:
         if self._tick_at != now:
             return  # superseded by an earlier kick
         self._tick_at = None
+        if self._grants_from is not None:
+            self._settle_grants(now)
         read_queue = self.read_queue
         write_queue = self.write_queue
         w_entries = write_queue.entries
@@ -298,6 +308,8 @@ class MemoryController:
                     earliest = self.banks.earliest_available()
                 if earliest <= now:
                     earliest = now + 1
+                if self._no_refresh:
+                    earliest = self._landing(earliest, drain)
                 self._tick_at = earliest
                 self.sim.schedule_at(earliest, self._tick)
             return
@@ -306,6 +318,43 @@ class MemoryController:
             at_time = now + self._period
             self._tick_at = at_time
             self.sim.schedule_at(at_time, self._tick)
+
+    def _landing(self, first_poll: int, drain: bool) -> int:
+        """Where a failed NVM poll re-arms: the chain would poll at
+        ``first_poll`` and then every cycle, failing until a candidate
+        bank frees (the scan memos' horizon) or another event runs.
+        Nothing else happens in between, so one tick lands there
+        instead; it is queued after everything already due that cycle,
+        as the chain's poll would have been.  Records the first skipped
+        poll that would have granted a starved write."""
+        memo = self._scan_memo
+        land = None
+        for queue in (self.read_queue, self.write_queue):
+            if queue.entries:
+                until = memo[queue.name][1]
+                if land is None or until < land:
+                    land = until
+        next_time = self.sim.next_time()
+        if next_time is not None and next_time < land:
+            land = next_time
+        if land <= first_poll:
+            return first_poll
+        if self.write_queue.entries and not drain:
+            first = max(first_poll, self._last_write_service
+                        + self.WRITE_STARVATION_LIMIT + 1)
+            if first < land:
+                self._grants_from = first
+        return land
+
+    def _settle_grants(self, end: int) -> None:
+        """Count the starvation grants of the polls a jump skipped: one
+        per skipped poll time in ``[_grants_from, end)`` (drain mode,
+        the write queue and ``_last_write_service`` cannot change
+        inside a jump)."""
+        skipped = end - self._grants_from
+        self._grants_from = None
+        if skipped > 0:
+            self._inc(self._k_starvation_grants, skipped)
 
     def _flip_drain_mode(self, drain: bool, write_depth: int) -> None:
         self._drain_mode = drain

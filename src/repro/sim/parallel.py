@@ -53,7 +53,7 @@ from .runner import SimulationResult, run_experiment
 #: Bump whenever the timing model or a result schema changes in a way
 #: that makes previously cached payloads wrong.  Folded into every
 #: cache key together with the package version.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 WorkloadParams = Tuple[Tuple[str, object], ...]
 

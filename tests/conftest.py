@@ -18,10 +18,11 @@ def exact_polls():
     """``exact_polls(fn, *args, **kwargs)`` calls ``fn`` with every
     memory controller it builds on the exact per-tick poll path.
 
-    NVM controllers normally memoize failed scans and cache the earliest
-    bank-free cycle (both are sound only for refresh-free banks).  Inside
-    the call both are off: each scheduler tick rescans its queues and
-    recomputes the bank horizon.  That is the reference the memoized
+    NVM controllers normally memoize failed scans, cache the earliest
+    bank-free cycle and jump over chains of failing polls (all three
+    are sound only for refresh-free banks).  Inside the call all are
+    off: every poll of the chain runs, rescans its queues and
+    recomputes the bank horizon.  That is the reference the shortcut
     path must reproduce bit for bit."""
 
     def exact(fn, *args, **kwargs):

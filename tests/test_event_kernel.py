@@ -276,6 +276,46 @@ def test_callback_receives_its_arguments(sim):
     assert seen == [("a", 2, None)]
 
 
+def test_next_time_is_none_on_an_empty_queue(sim):
+    assert sim.next_time() is None
+    sim.schedule(3, lambda: None)
+    sim.run()
+    assert sim.next_time() is None
+
+
+def test_next_time_is_the_earliest_queued_event(sim):
+    sim.schedule(9, lambda: None)
+    sim.schedule(4, lambda: None)
+    assert sim.next_time() == 4
+
+
+def test_next_time_from_a_callback_sees_same_cycle_events(sim):
+    """Inside an event, ``next_time() == now`` means more events are
+    due this cycle; after the last one it points at the next cycle."""
+    seen = []
+    for _ in range(2):
+        sim.schedule(5, lambda: seen.append((sim.now, sim.next_time())))
+    sim.schedule(8, lambda: None)
+    sim.run(until=5)
+    assert seen == [(5, 5), (5, 8)]
+
+
+def test_next_time_after_run_until(sim):
+    sim.schedule(5, lambda: None)
+    sim.schedule(12, lambda: None)
+    sim.run(until=10)
+    assert (sim.now, sim.next_time()) == (10, 12)
+
+
+def test_next_time_after_a_max_events_abort(sim):
+    for delay in (1, 1, 2, 3):
+        sim.schedule(delay, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert (sim.now, sim.next_time()) == (1, 2)
+    assert sim.pending() == 2
+
+
 def test_default_kernel_is_heap():
     assert default_kernel() == "heap"
 

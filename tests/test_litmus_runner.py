@@ -15,7 +15,12 @@ from repro.litmus import (
     run_litmus,
     run_litmus_matrix,
 )
-from repro.litmus.generator import message_passing, private_chain
+from repro.litmus.generator import (
+    default_suite,
+    message_passing,
+    private_chain,
+)
+from repro.litmus.oracle import check_membership, tx_summaries
 from repro.litmus.runner import iter_crash_states
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.sim.parallel import LitmusPoint
@@ -76,6 +81,51 @@ class TestSteppedStatesMatchFreshRuns:
                 states[cycle][0], f"committed diverged @ {cycle}"
             assert fresh.scheme.durable_lines(cycle) == \
                 states[cycle][1], f"image diverged @ {cycle}"
+
+
+def _every_cycle_states(system):
+    """Reference stepper without the dedup: pause and read the recovery
+    model at every single cycle."""
+    cycle = 0
+    while True:
+        system.run(until=cycle)
+        yield (cycle, system.scheme.durably_committed(cycle),
+               system.scheme.durable_lines(cycle))
+        if system.sim.next_time() is None:
+            return
+        cycle += 1
+
+
+class TestDedupLosesNothing:
+    """The stepper checks a state only where an event ran and jumps over
+    the cycles in between.  Against a stepper that checks every cycle,
+    each cycle's state — and so its oracle verdict — must be the one
+    the last checked state before it reported, on a scheme the oracle
+    catches."""
+
+    def test_broken_commit_verdicts_match_every_cycle_checks(self):
+        config = small_machine_config(num_cores=2)
+        for program in default_suite():
+            traces = program.to_traces()
+            summaries = tx_summaries(traces)
+
+            def states(stepper):
+                system = System(config, BROKEN_COMMIT)
+                system.load_traces(traces)
+                return list(stepper(system))
+
+            reference = states(_every_cycle_states)
+            deduped = {cycle: (committed, recovered)
+                       for cycle, committed, recovered
+                       in states(iter_crash_states)}
+            assert len(deduped) < len(reference)
+            latest = None
+            for cycle, committed, recovered in reference:
+                latest = deduped.get(cycle, latest)
+                assert (committed, recovered) == latest, \
+                    f"{program.name}: state missed @ {cycle}"
+            assert any(check_membership(summaries, *state)
+                       for state in deduped.values()), program.name
 
 
 class TestBrokenScheme:

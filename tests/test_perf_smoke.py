@@ -1,6 +1,6 @@
 """Opt-in performance smoke gate (CI perf-smoke job).
 
-Runs the two smoke benchmark points and fails if normalized events/sec regresses more than the tolerance
+Runs the two smoke benchmark points and fails if normalized cycles/sec regresses more than the tolerance
 against the committed ``benchmarks/perf/BENCH_kernel.json``.
 
 Wall-clock assertions are inherently machine- and load-sensitive, so
