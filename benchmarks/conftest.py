@@ -16,7 +16,7 @@ Set ``REPRO_BENCH_OPS`` to change the per-core operation count (default
 over that many worker processes, and ``REPRO_BENCH_CACHE`` names an
 on-disk result-cache directory so repeated bench runs skip
 already-computed points — both produce results identical to the
-serial/uncached defaults (the engine's determinism contract).
+single-job uncached defaults (the engine's determinism contract).
 
 Every figure bench writes its rendered table into
 ``benchmarks/output/`` so EXPERIMENTS.md can cite the exact output.
@@ -29,8 +29,8 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import small_machine_config
-from repro.sim.parallel import ExperimentEngine, ExperimentPoint
-from repro.sim.runner import ALL_SCHEMES, run_comparison
+from repro.sim.parallel import ExperimentEngine
+from repro.sim.runner import ALL_SCHEMES, run_grid
 from repro.workloads import PAPER_WORKLOADS
 
 OPS = int(os.environ.get("REPRO_BENCH_OPS", "300"))
@@ -40,21 +40,8 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 def _grid(config):
-    if JOBS > 1 or CACHE_DIR:
-        engine = ExperimentEngine(jobs=JOBS, cache_dir=CACHE_DIR)
-        cells = [(workload, scheme) for workload in PAPER_WORKLOADS
-                 for scheme in ALL_SCHEMES]
-        results = engine.run([
-            ExperimentPoint(workload, scheme.value, config, operations=OPS)
-            for workload, scheme in cells])
-        grid = {}
-        for (workload, scheme), result in zip(cells, results):
-            grid.setdefault(workload, {})[scheme] = result
-        return grid
-    return {
-        workload: run_comparison(workload, operations=OPS, config=config)
-        for workload in PAPER_WORKLOADS
-    }
+    return run_grid(PAPER_WORKLOADS, ALL_SCHEMES, config, operations=OPS,
+                    engine=ExperimentEngine(jobs=JOBS, cache_dir=CACHE_DIR))
 
 
 @pytest.fixture(scope="session")

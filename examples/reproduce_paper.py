@@ -26,7 +26,7 @@ from repro.sim.report import (
     format_table2,
     format_table3,
 )
-from repro.sim.runner import run_comparison
+from repro.sim.runner import ALL_SCHEMES, run_grid
 from repro.workloads import PAPER_WORKLOADS
 
 #: figures computed on the eviction-pressure grid (32 KB scaled LLC)
@@ -58,22 +58,17 @@ def main(argv=None) -> int:
     config = small_machine_config(num_cores=4)
     print(f"Running {len(PAPER_WORKLOADS)} workloads x 4 schemes at "
           f"{operations} operations/core on the scaled machine...")
-    grid = {}
     started = time.time()
-    for workload in PAPER_WORKLOADS:
-        t0 = time.time()
-        grid[workload] = run_comparison(workload, operations=operations,
-                                        config=config)
-        print(f"  {workload:<10} done in {time.time() - t0:5.1f}s")
+    grid = run_grid(PAPER_WORKLOADS, ALL_SCHEMES, config,
+                    operations=operations)
+    print(f"  done in {time.time() - started:5.1f}s")
 
     # Fig. 8 needs LLC reuse to exist, so it runs on a 128 KB LLC where
     # the workloads sit at capacity instead of thrashing (DESIGN.md).
-    pressure_config = config.scaled_llc(128 * 1024)
     print("re-running the grid at 128 KB LLC for Figure 8...")
-    pressure_grid = {}
-    for workload in PAPER_WORKLOADS:
-        pressure_grid[workload] = run_comparison(
-            workload, operations=operations, config=pressure_config)
+    pressure_grid = run_grid(PAPER_WORKLOADS, ALL_SCHEMES,
+                             config.scaled_llc(128 * 1024),
+                             operations=operations)
     print(f"total simulation time: {time.time() - started:.1f}s\n")
 
     for title, figure in MAIN_FIGURES:

@@ -41,11 +41,11 @@ Grid-shaped commands (``sweep``, ``figures``, ``crash``, ``chaos``)
 accept ``--jobs N`` to fan independent experiment points out over a
 process pool and ``--cache-dir DIR`` to memoize finished points on
 disk (``--no-cache`` bypasses a configured cache).  Parallel and
-cached runs produce byte-identical output to serial ones; the engine
-prints a ``hits=``/``executed=`` summary to stderr.  They also accept
-``--trace DIR`` to capture one Chrome trace per experiment point
-(named by the point's cache key) and ``--epoch N`` to sample
-occupancies/queue depths every N cycles into those traces.
+cached runs produce byte-identical output to ``--jobs 1`` uncached
+ones; the engine prints a ``hits=``/``executed=`` summary to stderr.
+They also accept ``--trace DIR`` to capture one Chrome trace per
+experiment point (named by the point's cache key) and ``--epoch N`` to
+sample occupancies/queue depths every N cycles into those traces.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .sim.report import (
     format_table2,
     format_table3,
 )
-from .sim.runner import run_comparison, run_experiment
+from .sim.runner import run_comparison, run_experiment, run_grid
 from .sim.sweep import llc_size_sweep, nvm_write_latency_sweep, tc_size_sweep
 from .workloads import PAPER_WORKLOADS, WORKLOADS, create_workload
 
@@ -507,7 +507,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from .sim.parallel import ExperimentPoint
     from .sim.runner import ALL_SCHEMES
 
     engine = _engine_from_args(args)
@@ -524,23 +523,13 @@ def cmd_figures(args) -> int:
     else:
         schemes = list(ALL_SCHEMES)
     config = small_machine_config(num_cores=args.cores)
-    pressure = config.scaled_llc(128 * 1024)
-    points = [
-        ExperimentPoint(workload, scheme.value, grid_config,
-                        operations=args.operations, seed=args.seed,
-                        trace_dir=args.trace, trace_epoch=args.epoch)
-        for grid_config in (config, pressure)
-        for workload in PAPER_WORKLOADS
-        for scheme in schemes
-    ]
-    print(f"running {len(points)} experiment points "
-          f"(jobs={engine.jobs})...", file=sys.stderr)
-    results = iter(engine.run(points))
-    grid = {workload: {scheme: next(results) for scheme in schemes}
-            for workload in PAPER_WORKLOADS}
-    pressure_grid = {workload: {scheme: next(results)
-                                for scheme in schemes}
-                     for workload in PAPER_WORKLOADS}
+    print(f"running {2 * len(PAPER_WORKLOADS) * len(schemes)} experiment "
+          f"points (jobs={engine.jobs})...", file=sys.stderr)
+    grid, pressure_grid = [
+        run_grid(PAPER_WORKLOADS, schemes, grid_config, engine=engine,
+                 operations=args.operations, seed=args.seed,
+                 trace_dir=args.trace, trace_epoch=args.epoch)
+        for grid_config in (config, config.scaled_llc(128 * 1024))]
     print(engine.summary(), file=sys.stderr)
     for title, figure, source in (
             ("Figure 6: IPC", figure6_ipc, grid),

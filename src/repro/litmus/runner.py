@@ -239,40 +239,31 @@ def run_litmus_matrix(
     With ``fault_config``, each run derives its own fault seed (base
     seed + run index) the way :func:`repro.sim.chaos.chaos_sweep`
     does, so the matrix explores distinct fault timings while staying
-    exactly reproducible.  ``engine`` (an optional
-    :class:`~repro.sim.parallel.ExperimentEngine`) fans runs out over
-    its worker pool with litmus-point cache keys; pooled results are
-    identical to the serial path's.
+    exactly reproducible.  The runs go through ``engine`` (an
+    :class:`~repro.sim.parallel.ExperimentEngine` — a fresh default
+    one, ``jobs=1`` inline and uncached, when none is given) as litmus
+    points keyed by program text, scheme, config and stride.
     """
-    pairs = [(program, scheme)
-             for program in programs for scheme in schemes]
-    base = config
+    from ..sim.parallel import ExperimentEngine, LitmusPoint
 
     def config_for(program: LitmusProgram,
                    index: int) -> MachineConfig:
-        cfg = base or small_machine_config(num_cores=program.num_cores)
+        cfg = config or small_machine_config(num_cores=program.num_cores)
         if fault_config is not None:
             cfg = replace(cfg, faults=replace(
                 fault_config, seed=fault_config.seed + index))
         return cfg
 
-    if engine is not None:
-        from ..sim.parallel import LitmusPoint
-
-        points = [
-            LitmusPoint(
-                program=program.canonical_json(),
-                scheme=scheme_label(scheme),
-                config=config_for(program, index),
-                check_every=check_every,
-            )
-            for index, (program, scheme) in enumerate(pairs)
-        ]
-        return LitmusMatrixReport(results=engine.run(points))
-
-    report = LitmusMatrixReport()
-    for index, (program, scheme) in enumerate(pairs):
-        report.results.append(run_litmus(
-            program, scheme, config=config_for(program, index),
-            check_every=check_every))
-    return report
+    pairs = [(program, scheme)
+             for program in programs for scheme in schemes]
+    points = [
+        LitmusPoint(
+            program=program.canonical_json(),
+            scheme=scheme_label(scheme),
+            config=config_for(program, index),
+            check_every=check_every,
+        )
+        for index, (program, scheme) in enumerate(pairs)
+    ]
+    return LitmusMatrixReport(
+        results=(engine or ExperimentEngine()).run(points))

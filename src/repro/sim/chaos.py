@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..common.config import FaultConfig, MachineConfig, small_machine_config
 from ..common.types import SchemeName
 from ..cpu.trace import Trace
-from .crash import crash_and_check, measure_run_length
-from .runner import make_traces
+from .crash import crash_and_check
 from .system import System
 
 #: stats counters surfaced per run: (report key, counter name)
@@ -213,9 +212,9 @@ def chaos_sweep(
 
     Crash points are placed as fractions of each experiment's
     *fault-free* run length, so a sweep at different fault rates
-    crashes at comparable execution points; traces are generated once
-    per workload and shared by every run (engine-driven runs
-    regenerate them per point from the same seed — identical traces).
+    crashes at comparable execution points; every point regenerates
+    its workload's traces from the same seed (identical traces, shared
+    in-process by :func:`~repro.sim.runner.make_traces`'s memo).
 
     Each run gets its own fault seed (``fault_config.seed`` + run
     index) so the sweep explores distinct fault timings instead of
@@ -224,11 +223,16 @@ def chaos_sweep(
 
     Every per-run config (machine geometry + derived fault seed) is
     materialized and validated up front, so a bad knob raises before
-    any point simulates.  ``engine`` — an optional
-    :class:`~repro.sim.parallel.ExperimentEngine` — fans the fault-free
-    run-length measurements and then the crash runs out over its
-    worker pool.
+    any point simulates.  The fault-free run-length measurements and
+    then the crash runs go through ``engine``, an
+    :class:`~repro.sim.parallel.ExperimentEngine` — a fresh default
+    one (``jobs=1``, inline, uncached) when none is given.
+    ``trace_dir`` captures one Chrome trace per crash run.
     """
+    from .parallel import ChaosPoint, ExperimentEngine, RunLengthPoint
+    from .validate import require_valid_config
+
+    engine = engine or ExperimentEngine()
     fault_config = fault_config or FaultConfig()
     base = config or small_machine_config(num_cores=num_cores)
     clean = replace(base, faults=FaultConfig())
@@ -236,8 +240,6 @@ def chaos_sweep(
     # fail fast: build every run's config (replace() re-runs the
     # FaultConfig validators) and check the machine geometry once,
     # before the first — potentially minutes-long — simulation
-    from .validate import require_valid_config
-
     require_valid_config(base, context="chaos sweep config")
     total_runs = len(workloads) * len(scheme_names) * len(fractions)
     faulty_configs = [
@@ -245,46 +247,18 @@ def chaos_sweep(
                                      seed=fault_config.seed + index))
         for index in range(total_runs)
     ]
-    report = ChaosReport(fault_config=fault_config)
-
-    if engine is not None:
-        from .parallel import ChaosPoint, RunLengthPoint
-
-        measures = [RunLengthPoint(workload, scheme.value, clean,
-                                   operations=operations, seed=seed)
-                    for workload in workloads for scheme in scheme_names]
-        totals = engine.run(measures)
-        points = []
-        run_index = 0
-        for (workload, scheme), total in zip(
-                ((w, s) for w in workloads for s in scheme_names), totals):
-            for fraction in fractions:
-                crash_cycle = max(1, int(total * fraction))
-                points.append(ChaosPoint(
-                    workload, scheme.value, crash_cycle, total,
-                    faulty_configs[run_index], operations=operations,
-                    seed=seed, trace_dir=trace_dir,
-                    trace_epoch=trace_epoch))
-                run_index += 1
-        report.runs = engine.run(points)
-        return report
-
-    if trace_dir is not None:
-        raise ValueError("trace capture requires an engine "
-                         "(per-point trace files are keyed like cache "
-                         "entries)")
-    run_index = 0
-    for workload in workloads:
-        traces = make_traces(workload, base.num_cores, operations,
-                             seed=seed)
-        for scheme in scheme_names:
-            total = measure_run_length(workload, scheme, config=clean,
-                                       traces=traces)
-            for fraction in fractions:
-                crash_cycle = max(1, int(total * fraction))
-                faulty = faulty_configs[run_index]
-                run_index += 1
-                report.runs.append(run_chaos_crash(
-                    workload, scheme, crash_cycle, traces, faulty,
-                    total_cycles=total))
-    return report
+    cells = [(workload, scheme.value)
+             for workload in workloads for scheme in scheme_names]
+    totals = engine.run([RunLengthPoint(workload, scheme, clean,
+                                        operations=operations, seed=seed)
+                         for workload, scheme in cells])
+    crashes = [(workload, scheme, max(1, int(total * fraction)), total)
+               for (workload, scheme), total in zip(cells, totals)
+               for fraction in fractions]
+    runs = engine.run([
+        ChaosPoint(workload, scheme, crash_cycle, total, faulty,
+                   operations=operations, seed=seed, trace_dir=trace_dir,
+                   trace_epoch=trace_epoch)
+        for (workload, scheme, crash_cycle, total), faulty
+        in zip(crashes, faulty_configs)])
+    return ChaosReport(fault_config=fault_config, runs=runs)

@@ -189,66 +189,42 @@ def crash_sweep(
     engine=None,
     trace_dir=None,
     trace_epoch: int = 0,
-    **kwargs,
+    *,
+    config: Optional[MachineConfig] = None,
+    num_cores: int = 1,
+    operations: int = 50,
+    seed: int = 42,
+    **workload_params,
 ) -> List[CrashReport]:
     """Crash the same experiment at several points of its execution.
 
-    The workload traces are generated **once** and threaded through
-    every run — regenerating them per crash fraction (the old behavior
-    when ``traces`` was not supplied) wasted a full trace-generation
-    pass per point for identical traces.
-
-    ``engine`` (an optional :class:`~repro.sim.parallel.ExperimentEngine`)
-    fans the per-fraction crash runs out over its worker pool instead;
-    workers regenerate the (deterministic) traces locally, so reports
-    are identical to the serial path's.
+    One run-length point measures the uninterrupted run, then one crash
+    point per fraction crashes it; both batches run through ``engine``
+    (an :class:`~repro.sim.parallel.ExperimentEngine` — a fresh default
+    one, ``jobs=1`` inline and uncached, when none is given).  Every
+    point regenerates its traces from the seed (shared in-process by
+    :func:`~repro.sim.runner.make_traces`'s memo).  ``trace_dir``
+    captures one Chrome trace per crash point.
     """
-    if engine is not None:
-        if kwargs.pop("traces", None) is not None:
-            raise ValueError(
-                "engine-driven crash sweeps regenerate traces per point; "
-                "pass seed/operations instead of traces")
-        from .parallel import CrashPoint, RunLengthPoint, make_params
-        from .validate import require_valid_config
+    from .parallel import (CrashPoint, ExperimentEngine, RunLengthPoint,
+                           make_params)
+    from .validate import require_valid_config
 
-        config = kwargs.pop("config", None) or small_machine_config(
-            num_cores=kwargs.pop("num_cores", 1))
-        kwargs.pop("num_cores", None)
-        operations = kwargs.pop("operations", 50)
-        seed = kwargs.pop("seed", 42)
-        params = make_params(kwargs)
-        require_valid_config(config, context="crash sweep config")
-        scheme_value = SchemeName.parse(scheme).value
-        total = engine.run([RunLengthPoint(
-            workload, scheme_value, config, operations=operations,
-            seed=seed, workload_params=params)])[0]
-        points = [CrashPoint(workload, scheme_value,
-                             max(1, int(total * fraction)), total, config,
-                             operations=operations, seed=seed,
-                             workload_params=params,
-                             trace_dir=trace_dir, trace_epoch=trace_epoch)
-                  for fraction in fractions]
-        return engine.run(points)
-    if trace_dir is not None:
-        raise ValueError("trace capture requires an engine "
-                         "(per-point trace files are keyed like cache "
-                         "entries)")
-    if kwargs.get("traces") is None:
-        config = kwargs.get("config")
-        num_cores = (config.num_cores if config is not None
-                     else kwargs.get("num_cores", 1))
-        workload_params = {
-            name: value for name, value in kwargs.items()
-            if name not in ("config", "num_cores", "operations", "seed",
-                            "traces")
-        }
-        kwargs["traces"] = make_traces(
-            workload, num_cores, kwargs.get("operations", 50),
-            seed=kwargs.get("seed", 42), **workload_params)
-    total = measure_run_length(workload, scheme, **kwargs)
-    reports = []
-    for fraction in fractions:
-        crash_cycle = max(1, int(total * fraction))
-        reports.append(run_with_crash(workload, scheme, crash_cycle,
-                                      total_cycles=total, **kwargs))
-    return reports
+    if workload_params.pop("traces", None) is not None:
+        raise ValueError(
+            "crash sweeps regenerate traces per point; "
+            "pass seed/operations instead of traces")
+    engine = engine or ExperimentEngine()
+    config = config or small_machine_config(num_cores=num_cores)
+    params = make_params(workload_params)
+    require_valid_config(config, context="crash sweep config")
+    scheme_value = SchemeName.parse(scheme).value
+    total = engine.run([RunLengthPoint(
+        workload, scheme_value, config, operations=operations,
+        seed=seed, workload_params=params)])[0]
+    return engine.run([
+        CrashPoint(workload, scheme_value, max(1, int(total * fraction)),
+                   total, config, operations=operations, seed=seed,
+                   workload_params=params, trace_dir=trace_dir,
+                   trace_epoch=trace_epoch)
+        for fraction in fractions])

@@ -247,23 +247,55 @@ def run_experiment(
     return collect_result(system, workload=workload)
 
 
+def run_grid(
+    workloads: Sequence[str],
+    schemes: Sequence[Union[str, SchemeName]],
+    config: MachineConfig,
+    *,
+    operations: int = 300,
+    seed: int = 42,
+    engine=None,
+    trace_dir=None,
+    trace_epoch: int = 0,
+    **workload_params,
+) -> Dict[str, Dict[SchemeName, SimulationResult]]:
+    """Run every workload under every scheme on one machine config —
+    the grid each of the paper's Figs. 6-10 reads — returning
+    ``{workload: {scheme: result}}``.
+
+    The points run through ``engine``, an
+    :class:`~repro.sim.parallel.ExperimentEngine` — a fresh default
+    one (``jobs=1``, inline, uncached) when none is given.  The
+    schemes of one workload share its traces (every point regenerates
+    them from the seed; :func:`make_traces` memoizes in-process).
+    ``trace_dir`` captures one Chrome trace per point.
+    """
+    from .parallel import ExperimentEngine, ExperimentPoint, make_params
+
+    names = [SchemeName.parse(scheme) for scheme in schemes]
+    params = make_params(workload_params)
+    results = iter((engine or ExperimentEngine()).run([
+        ExperimentPoint(workload, scheme.value, config,
+                        operations=operations, seed=seed,
+                        workload_params=params, trace_dir=trace_dir,
+                        trace_epoch=trace_epoch)
+        for workload in workloads for scheme in names]))
+    return {workload: {scheme: next(results) for scheme in names}
+            for workload in workloads}
+
+
 def run_comparison(
     workload: str,
     schemes: Sequence[Union[str, SchemeName]] = ALL_SCHEMES,
-    **kwargs,
+    *,
+    config: Optional[MachineConfig] = None,
+    num_cores: int = 4,
+    operations: int = 300,
+    seed: int = 42,
+    **workload_params,
 ) -> Dict[SchemeName, SimulationResult]:
     """Run one workload under several schemes on identical traces."""
-    results: Dict[SchemeName, SimulationResult] = {}
-    num_cores = kwargs.pop("num_cores", 4)
-    config = kwargs.pop("config", None) or small_machine_config(num_cores=num_cores)
-    operations = kwargs.pop("operations", 300)
-    seed = kwargs.pop("seed", 42)
-    traces = kwargs.pop("traces", None)
-    if traces is None:
-        traces = make_traces(workload, config.num_cores, operations,
-                             seed=seed, **kwargs)
-    for scheme in schemes:
-        name = SchemeName.parse(scheme)
-        results[name] = run_experiment(
-            workload, name, config=config, traces=traces)
-    return results
+    return run_grid(
+        [workload], schemes,
+        config or small_machine_config(num_cores=num_cores),
+        operations=operations, seed=seed, **workload_params)[workload]

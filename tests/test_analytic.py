@@ -17,7 +17,8 @@ from repro.sim.runner import make_traces, run_comparison
 def experiment():
     config = small_machine_config(num_cores=1)
     traces = make_traces("hashtable", 1, 200, seed=31)
-    results = run_comparison("hashtable", config=config, traces=traces)
+    results = run_comparison("hashtable", config=config, operations=200,
+                             seed=31)
     return config, traces[0], results
 
 

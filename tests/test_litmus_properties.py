@@ -1,5 +1,6 @@
 """Properties of the litmus layer: generator determinism and the
-engine-path equivalence (pooled == serial, cold == warm cache).
+engine-path equivalence (direct runs == default engine == pool, cold ==
+warm cache).
 
 Determinism is load-bearing, not cosmetic: program bytes feed the
 parallel engine's cache keys, so a seed that produced different bytes
@@ -16,7 +17,7 @@ from repro.litmus.oracle import (
     line_candidates,
     tx_summaries,
 )
-from repro.litmus.runner import run_litmus_matrix
+from repro.litmus.runner import run_litmus, run_litmus_matrix
 from repro.sim.parallel import ExperimentEngine
 
 
@@ -68,17 +69,20 @@ class TestGeneratorDeterminism:
 
 
 class TestEnginePathEquivalence:
-    def test_pooled_sweep_equals_serial_sweep(self, tmp_path):
+    def test_matrix_equals_direct_runs_default_and_pooled(self, tmp_path):
         programs = default_suite(3, count=4)
         schemes = ("kiln", "txcache")
 
-        serial = run_litmus_matrix(programs, schemes)
+        direct = [run_litmus(program, scheme)
+                  for program in programs for scheme in schemes]
+        default = run_litmus_matrix(programs, schemes)
         pooled = run_litmus_matrix(
             programs, schemes,
             engine=ExperimentEngine(jobs=2,
                                     cache_dir=str(tmp_path / "cache")))
-        assert [r.to_dict() for r in pooled.results] == \
-            [r.to_dict() for r in serial.results]
+        assert [r.to_dict() for r in direct] == \
+            [r.to_dict() for r in default.results] == \
+            [r.to_dict() for r in pooled.results]
 
         # a second run over the same cache is all warm hits — and
         # byte-identical
@@ -86,6 +90,5 @@ class TestEnginePathEquivalence:
                                   cache_dir=str(tmp_path / "cache"))
         warm = run_litmus_matrix(programs, schemes, engine=engine)
         assert [r.to_dict() for r in warm.results] == \
-            [r.to_dict() for r in serial.results]
-        assert engine.stats.counter("engine.cache.hits") == \
-            len(serial.results)
+            [r.to_dict() for r in direct]
+        assert engine.stats.counter("engine.cache.hits") == len(direct)

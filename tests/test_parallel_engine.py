@@ -1,11 +1,14 @@
 """Tests for the parallel experiment engine and its result cache.
 
 The engine's contract is stronger than "runs stuff in parallel": the
-merged output must be **identical** to the serial output (same objects,
-field for field), and a cache hit must never change a report.  The
-Hypothesis properties at the bottom drive random grids through the
-serial path, the pooled path, and a cold/warm cache cycle and require
-exact agreement every time.
+merged output must be **identical** whatever the job count (same
+objects, field for field), and a cache hit must never change a report.
+Every batch driver runs its points through the engine — a default
+single-job one when the caller passes none — so the drivers are held
+equal to direct per-point calls, to the default engine and to a pool.
+The Hypothesis properties at the bottom drive random grids through
+one job, a pool, and a cold/warm cache cycle and require exact
+agreement every time.
 """
 
 import json
@@ -21,17 +24,25 @@ from repro.common.config import (
     small_machine_config,
 )
 from repro.common.types import SchemeName
-from repro.sim.chaos import ChaosRun, chaos_sweep
-from repro.sim.crash import CrashReport, crash_sweep, run_with_crash
+from repro.litmus import default_suite
+from repro.litmus.runner import run_litmus_matrix
+from repro.sim.chaos import ChaosRun, chaos_sweep, run_chaos_crash
+from repro.sim.crash import (
+    CrashReport,
+    crash_sweep,
+    measure_run_length,
+    run_with_crash,
+)
 from repro.sim.parallel import (
     ChaosPoint,
     CrashPoint,
     ExperimentEngine,
     ExperimentPoint,
+    LitmusPoint,
     ResultCache,
     RunLengthPoint,
 )
-from repro.sim.runner import run_experiment
+from repro.sim.runner import make_traces, run_experiment, run_grid
 from repro.sim.sweep import tc_size_sweep
 
 CONFIG = small_machine_config(num_cores=1)
@@ -67,6 +78,28 @@ class TestPointKeys:
         exp = ExperimentPoint("sps", "txcache", CONFIG, operations=20)
         length = RunLengthPoint("sps", "txcache", CONFIG, operations=20)
         assert exp.key != length.key
+
+    # one fixed spec per kind and the digest it keys to: cache entries
+    # and serve request keys must not move when the point code does
+    @pytest.mark.parametrize("point, digest", [
+        (ExperimentPoint("sps", "txcache", CONFIG, operations=20, seed=7,
+                         workload_params=(("array_elements", 64),)),
+         "eafae1229d19c08e397463ea263e09beb2303d6a4283fa13c587e03dcb0c9ef4"),
+        (RunLengthPoint("sps", "txcache", CONFIG, operations=20, seed=7,
+                        workload_params=(("array_elements", 64),)),
+         "6af691d83fe9a4800b0adebd45cc4f39c4b13a42f97ac0ea8cfc2f039b828286"),
+        (CrashPoint("sps", "txcache", 1000, 4000, CONFIG, operations=20,
+                    seed=7, workload_params=(("array_elements", 64),)),
+         "93baecf5824ee58a3f589c5ed199f22685dc52bc9280ab3abd71c3e7b568cc35"),
+        (ChaosPoint("sps", "txcache", 1000, 4000, CONFIG, operations=20,
+                    seed=7, workload_params=(("array_elements", 64),)),
+         "7e5f7aed465cd68ea6b44d35f27c88bc407e4a0483b3218cd3b0477cd69b02ac"),
+        (LitmusPoint(default_suite(3, count=1)[0].canonical_json(), "kiln",
+                     CONFIG, check_every=2),
+         "74b4f5f9cce9db429b2fc94ad9b8884b1075a8be2bebadf495fcdfdfdb3fae83"),
+    ], ids=["experiment", "run_length", "crash", "chaos", "litmus"])
+    def test_key_is_pinned(self, point, digest):
+        assert point.key == digest
 
     def test_config_fingerprint_covers_every_knob(self):
         base = small_machine_config()
@@ -236,14 +269,20 @@ class TestEngineBasics:
 
 
 class TestSweepThroughEngine:
-    def test_engine_sweep_equals_serial_sweep(self):
+    def test_sweep_equals_direct_runs_default_and_pooled_engines(self):
         sweep = tc_size_sweep(sizes=(512, 4096))
-        serial = sweep.run("sps", "txcache", operations=20,
-                           array_elements=64)
-        engine = sweep.run("sps", "txcache", operations=20,
-                           array_elements=64,
-                           engine=ExperimentEngine(jobs=2))
-        assert serial.to_json() == engine.to_json()
+        kwargs = dict(operations=20, num_cores=1, array_elements=64)
+        direct = [run_experiment("sps", "txcache",
+                                 config=sweep.configure(CONFIG, size),
+                                 operations=20, array_elements=64)
+                  for size in sweep.values]
+        default = sweep.run("sps", "txcache", **kwargs)
+        pooled = sweep.run("sps", "txcache",
+                           engine=ExperimentEngine(jobs=2), **kwargs)
+        assert result_dicts(direct) == \
+            [point.result.to_dict(include_raw=True)
+             for point in default.points]
+        assert default.to_json() == pooled.to_json()
 
     def test_engine_rejects_prebuilt_traces(self):
         from repro.sim.runner import make_traces
@@ -256,41 +295,137 @@ class TestSweepThroughEngine:
 
 
 class TestCrashAndChaosThroughEngine:
-    def test_crash_sweep_identical(self):
-        kwargs = dict(fractions=[0.4, 0.8], operations=15)
-        serial = crash_sweep("sps", "txcache", **kwargs)
-        pooled = crash_sweep("sps", "txcache",
-                             engine=ExperimentEngine(jobs=2), **kwargs)
-        assert [r.to_dict() for r in serial] == \
+    def test_crash_sweep_equals_direct_runs_default_and_pooled(self):
+        fractions = [0.4, 0.8]
+        total = measure_run_length("sps", "txcache", config=CONFIG,
+                                   operations=15)
+        direct = [run_with_crash("sps", "txcache",
+                                 max(1, int(total * fraction)),
+                                 config=CONFIG, operations=15,
+                                 total_cycles=total)
+                  for fraction in fractions]
+        default = crash_sweep("sps", "txcache", fractions=fractions,
+                              operations=15)
+        pooled = crash_sweep("sps", "txcache", fractions=fractions,
+                             operations=15, engine=ExperimentEngine(jobs=2))
+        assert [r.to_dict() for r in direct] == \
+            [r.to_dict() for r in default] == \
             [r.to_dict() for r in pooled]
 
-    def test_chaos_sweep_identical(self):
+    def test_chaos_sweep_equals_direct_runs_default_and_pooled(self):
         fault = FaultConfig(nvm_write_fail_rate=1e-3, ack_loss_rate=1e-3)
+        fractions = [0.3, 0.7]
+        traces = make_traces("sps", 1, 15)
+        total = measure_run_length("sps", "txcache", config=CONFIG,
+                                   traces=traces)
+        direct = [run_chaos_crash(
+            "sps", "txcache", max(1, int(total * fraction)), traces,
+            replace(CONFIG, faults=replace(fault, seed=fault.seed + index)),
+            total_cycles=total)
+            for index, fraction in enumerate(fractions)]
         kwargs = dict(schemes=["txcache"], fault_config=fault,
-                      fractions=[0.3, 0.7], operations=15)
-        serial = chaos_sweep(["sps"], **kwargs)
+                      fractions=fractions, operations=15)
+        default = chaos_sweep(["sps"], **kwargs)
         pooled = chaos_sweep(["sps"], engine=ExperimentEngine(jobs=2),
                              **kwargs)
-        assert serial.format() == pooled.format()
-        assert [r.to_dict() for r in serial.runs] == \
+        assert default.format() == pooled.format()
+        assert [r.to_dict() for r in direct] == \
+            [r.to_dict() for r in default.runs] == \
             [r.to_dict() for r in pooled.runs]
+
+
+BAD_CONFIG = replace(CONFIG, llc=replace(CONFIG.llc, size_bytes=1000))
 
 
 class TestUpfrontValidation:
     """A bad knob value must raise before any point simulates."""
 
-    def test_chaos_bad_config_raises_before_running(self, monkeypatch):
+    @pytest.mark.parametrize("run_driver, context", [
+        (lambda: chaos_sweep(["sps"], config=BAD_CONFIG, operations=15),
+         "chaos sweep config"),
+        (lambda: crash_sweep("sps", "txcache", config=BAD_CONFIG,
+                             operations=15),
+         "crash sweep config"),
+        (lambda: tc_size_sweep(sizes=(4096,)).run(
+            "sps", "txcache", BAD_CONFIG, operations=15),
+         "sweep tc_size_bytes=4096"),
+    ], ids=["chaos_sweep", "crash_sweep", "sweep"])
+    def test_bad_config_raises_before_running(self, monkeypatch,
+                                              run_driver, context):
         executed = []
-        monkeypatch.setattr(
-            "repro.sim.chaos.run_chaos_crash",
-            lambda *a, **k: executed.append(a))
-        monkeypatch.setattr(
-            "repro.sim.chaos.measure_run_length",
-            lambda *a, **k: executed.append(a))
-        bad = replace(CONFIG, llc=replace(CONFIG.llc, size_bytes=1000))
-        with pytest.raises(ValueError, match="chaos sweep config"):
-            chaos_sweep(["sps"], config=bad, operations=15)
+        monkeypatch.setattr("repro.sim.parallel.execute_point",
+                            lambda *a, **k: executed.append(a))
+        with pytest.raises(ValueError, match=context):
+            run_driver()
         assert executed == []
+
+
+FAULTS = FaultConfig(nvm_write_fail_rate=1e-3, ack_loss_rate=1e-3)
+
+#: every batch driver, run on a small grid; each returns its results
+#: as to_dict() output
+DRIVERS = {
+    "run_grid": lambda **kw: [
+        result.to_dict(include_raw=True)
+        for row in run_grid(["sps"], ["txcache", "optimal"], CONFIG,
+                            operations=10, **kw).values()
+        for result in row.values()],
+    "sweep": lambda **kw: [
+        point.result.to_dict(include_raw=True)
+        for point in tc_size_sweep(sizes=(512, 4096)).run(
+            "sps", "txcache", CONFIG, operations=10, **kw).points],
+    "crash_sweep": lambda **kw: [
+        report.to_dict()
+        for report in crash_sweep("sps", "txcache", fractions=(0.3, 0.7),
+                                  operations=10, **kw)],
+    "chaos_sweep": lambda **kw: [
+        run.to_dict()
+        for run in chaos_sweep(["sps"], fault_config=FAULTS,
+                               fractions=(0.3, 0.7), operations=10,
+                               **kw).runs],
+    "litmus_matrix": lambda **kw: [
+        result.to_dict()
+        for result in run_litmus_matrix(default_suite(3, count=2),
+                                        ("txcache",), **kw).results],
+}
+
+#: the drivers that capture per-point Chrome traces, and how many
+#: traced points each of the grids above has
+TRACED_POINTS = {"run_grid": 2, "sweep": 2, "crash_sweep": 2,
+                 "chaos_sweep": 2}
+
+
+class TestOneBatchPath:
+    """Every driver builds points and hands them to one engine."""
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_warm_cache_executes_nothing(self, driver, tmp_path):
+        cold_engine = ExperimentEngine(cache_dir=tmp_path)
+        cold = DRIVERS[driver](engine=cold_engine)
+        assert cold_engine.stats.counter("engine.executed") > 0
+        warm_engine = ExperimentEngine(cache_dir=tmp_path)
+        warm = DRIVERS[driver](engine=warm_engine)
+        assert warm_engine.stats.counter("engine.executed") == 0
+        assert warm == cold
+
+    @pytest.mark.parametrize("driver", sorted(TRACED_POINTS))
+    def test_trace_dir_without_an_engine(self, driver, tmp_path,
+                                         monkeypatch):
+        from repro.sim import parallel
+
+        traced = []
+        execute = parallel.execute_point
+
+        def record(point, *args):
+            if getattr(point, "trace_dir", None) is not None:
+                traced.append(point.key)
+            return execute(point, *args)
+
+        monkeypatch.setattr(parallel, "execute_point", record)
+        DRIVERS[driver](trace_dir=str(tmp_path))
+        assert len(traced) == TRACED_POINTS[driver]
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            sorted(f"{key}.trace.json" for key in traced)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +451,7 @@ def build_points(grid):
 @given(grid=GRID)
 def test_property_pooled_equals_serial(grid):
     """Random grids: the pooled path's merged report is identical to
-    the serial path's, element for element."""
+    the single-job (inline) engine's, element for element."""
     points = build_points(grid)
     serial = ExperimentEngine(jobs=1).run(points)
     pooled = ExperimentEngine(jobs=2).run(points)

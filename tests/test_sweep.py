@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.config import small_machine_config
 from repro.sim.sweep import (
     Sweep,
     SweepOutcome,
@@ -11,6 +12,12 @@ from repro.sim.sweep import (
     nvm_write_latency_sweep,
     tc_size_sweep,
 )
+
+
+def core_ids(result):
+    """The core ids a result's per-core stats were recorded for."""
+    return {name.split(".")[1] for name in result.raw_stats
+            if name.startswith("core.")}
 
 
 class TestSweepConstruction:
@@ -31,7 +38,7 @@ class TestUpfrontValidation:
 
     def test_bad_value_raises_before_any_point_runs(self, monkeypatch):
         executed = []
-        monkeypatch.setattr("repro.sim.sweep.run_experiment",
+        monkeypatch.setattr("repro.sim.parallel.execute_point",
                             lambda *a, **k: executed.append(a))
         # 1000 B / 64 B lines = 15 lines: not divisible into 16-way
         # sets, an error validate_config catches up front
@@ -62,6 +69,18 @@ class TestSweepExecution:
     def test_one_point_per_value(self, outcome):
         assert outcome.values() == [512, 4096]
         assert len(outcome.points) == 2
+
+    def test_num_cores_sets_the_swept_machine(self, outcome):
+        """Without a base config, ``num_cores`` sizes the machine every
+        point runs on."""
+        for point in outcome.points:
+            assert core_ids(point.result) == {"0"}
+
+    def test_base_config_overrides_num_cores(self):
+        outcome = tc_size_sweep(sizes=(4096,)).run(
+            "sps", "txcache", small_machine_config(num_cores=2),
+            operations=5, num_cores=1, array_elements=64)
+        assert core_ids(outcome.points[0].result) == {"0", "1"}
 
     def test_configure_applied(self):
         sweep = nvm_write_latency_sweep(latencies_ns=(76.0, 350.0))

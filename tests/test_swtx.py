@@ -25,7 +25,7 @@ from repro.persistence.swtx.base import (
     SHADOW_BASE,
     home_of_shadow,
 )
-from repro.sim.runner import make_traces, run_experiment
+from repro.sim.runner import make_traces, run_experiment, run_grid
 from repro.sim.system import System
 
 SWTX_SCHEMES = ("undo_log", "redo_log", "hybrid_dram")
@@ -132,18 +132,13 @@ class TestPrepareTrace:
 @pytest.fixture(scope="module")
 def figure_grid():
     """workload → scheme name → result, on the golden grid's config."""
-    config = small_machine_config(num_cores=2)
     schemes = ("optimal", "txcache", "sp") + SWTX_SCHEMES
-    out = {}
-    for workload in GRID_WORKLOADS:
-        traces = make_traces(workload, 2, GRID_OPS, seed=GRID_SEED)
-        out[workload] = {
-            scheme: run_experiment(
-                workload, SchemeName.parse(scheme), config=config,
-                traces=traces)
-            for scheme in schemes
-        }
-    return out
+    grid = run_grid(GRID_WORKLOADS, schemes,
+                    small_machine_config(num_cores=2), operations=GRID_OPS,
+                    seed=GRID_SEED)
+    return {workload: {scheme.value: result
+                       for scheme, result in row.items()}
+            for workload, row in grid.items()}
 
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
