@@ -337,7 +337,7 @@ def config_fingerprint(config: MachineConfig) -> str:
     (a fault rate, a row-buffer size), produces a different key and
     therefore a cache miss instead of a stale result.
     """
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True)
+    payload = json.dumps(config_to_dict(config), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -347,7 +347,20 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
     The inverse of :func:`config_from_dict`; the round trip is exact
     because every leaf is an int/float/str/bool and JSON preserves
     float ``repr`` precision."""
-    return dataclasses.asdict(config)
+    return _fields_to_dict(config)
+
+
+def _fields_to_dict(obj) -> Dict[str, object]:
+    """``dataclasses.asdict`` for the config tree, without its deep
+    copies: every leaf is an immutable scalar or a nested config
+    dataclass, so a plain field walk builds the same dict."""
+    out: Dict[str, object] = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if hasattr(value, "__dataclass_fields__"):
+            value = _fields_to_dict(value)
+        out[name] = value
+    return out
 
 
 def _dataclass_from_dict(cls, data: Mapping, path: str):

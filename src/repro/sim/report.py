@@ -48,9 +48,10 @@ def normalized_rows(results: ResultGrid, metric: Metric,
 
 
 def add_mean_row(rows: Dict[str, Dict[SchemeName, float]]) -> None:
-    """Append the cross-workload geometric-mean row (in place)."""
+    """Append the cross-workload geometric-mean row (in place), its
+    schemes in order of first appearance across the workload rows."""
     workload_rows = [row for name, row in rows.items() if name != "gmean"]
-    schemes = {scheme for row in workload_rows for scheme in row}
+    schemes = dict.fromkeys(scheme for row in workload_rows for scheme in row)
     rows["gmean"] = {
         scheme: geomean(row[scheme] for row in workload_rows if scheme in row)
         for scheme in schemes

@@ -265,8 +265,9 @@ def test_crash_sweep_identical_on_exact_polls(exact_polls):
 def test_litmus_program_identical_on_exact_polls(exact_polls, scheme):
     """An every-cycle litmus crash sweep (the stepped single-simulation
     runner) reports identical consistency outcomes.  Only the number of
-    distinct states checked may differ, and only downward: cycles whose
-    sole events were skipped polls no longer count as new states."""
+    event-bearing states checked may differ, and only downward: cycles
+    whose sole events were skipped polls no longer count as new
+    states."""
     from repro.litmus.generator import message_passing
     from repro.litmus.runner import run_litmus
 

@@ -2,9 +2,11 @@
 minimization, fault composition, and the serve/CLI surfaces."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.litmus.runner as runner
 from repro.cli import main
 from repro.common.config import FaultConfig, small_machine_config
 from repro.litmus import (
@@ -21,7 +23,8 @@ from repro.litmus.generator import (
     private_chain,
 )
 from repro.litmus.oracle import check_membership, tx_summaries
-from repro.litmus.runner import iter_crash_states
+from repro.litmus.runner import MAX_VIOLATION_RECORDS, iter_crash_states
+from repro.persistence import scheme_names
 from repro.serve.protocol import ProtocolError, parse_request
 from repro.sim.parallel import LitmusPoint
 from repro.sim.system import System
@@ -126,6 +129,156 @@ class TestDedupLosesNothing:
                     f"{program.name}: state missed @ {cycle}"
             assert any(check_membership(summaries, *state)
                        for state in deduped.values()), program.name
+
+
+def _judge_every_state(program, scheme, config, *, check_every=1):
+    """``run_litmus(...).to_dict()`` with the oracle called at every
+    yielded state, no verdict reused."""
+    traces = program.to_traces()
+    summaries = tx_summaries(traces)
+    system = System(config, scheme)
+    system.load_traces(traces)
+    states = violating = 0
+    violations = []
+    for cycle, committed, recovered in iter_crash_states(
+            system, check_every=check_every):
+        states += 1
+        messages = check_membership(summaries, committed, recovered)
+        if messages:
+            violating += 1
+            if len(violations) < MAX_VIOLATION_RECORDS:
+                violations.append({"crash_cycle": cycle,
+                                   "committed": sorted(committed),
+                                   "messages": messages})
+    return {"program": program.name, "fingerprint": program.fingerprint,
+            "scheme": scheme, "total_cycles": system.sim.now,
+            "crash_cycles": system.sim.now // check_every + 1,
+            "states_checked": states, "violations": violations,
+            "violating_cycles": violating,
+            "faulty": config.faults.enabled}
+
+
+def _state_changes(program, scheme, config):
+    """``(all, image_only)``: how many yielded states differ from the
+    one before them (the first counts), comparing recovered images in
+    key order, and how many of those keep the commit set."""
+    system = System(config, scheme)
+    system.load_traces(program.to_traces())
+    changes = image_only = 0
+    last = None
+    for _, committed, recovered in iter_crash_states(system):
+        state = (committed, list(recovered.items()))
+        if state != last:
+            changes += 1
+            image_only += last is not None and committed == last[0]
+        last = state
+    return changes, image_only
+
+
+def _evicting_config(num_cores):
+    """One-line direct-mapped caches: dirty home lines are written back
+    to NVM mid-run, so raw-NVM recovery images change while the commit
+    set stays put."""
+    base = small_machine_config(num_cores=num_cores)
+    return replace(base,
+                   l1=replace(base.l1, size_bytes=64, assoc=1),
+                   l2=replace(base.l2, size_bytes=64, assoc=1),
+                   llc=replace(base.llc, size_bytes=128, assoc=1))
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The runner's oracle, counting its calls into the returned list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return check_membership(*args)
+
+    monkeypatch.setattr(runner, "check_membership", counting)
+    return calls
+
+
+class TestReusedVerdict:
+    """The runner calls the oracle only when the crash state changed
+    and reuses its messages otherwise; the result must be the one a
+    verdict at every state gives."""
+
+    @pytest.mark.parametrize("check_every", [1, 3])
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_matches_a_verdict_at_every_state(self, scheme, check_every):
+        for program in default_suite():
+            config = small_machine_config(num_cores=program.num_cores)
+            assert run_litmus(program, scheme,
+                              check_every=check_every).to_dict() == \
+                _judge_every_state(program, scheme, config,
+                                   check_every=check_every), program.name
+
+    def test_every_scheme_is_covered(self):
+        assert BROKEN_COMMIT in scheme_names()
+
+    def test_matches_under_injected_faults(self):
+        faults = FaultConfig(seed=3, nvm_write_fail_rate=0.02,
+                             ack_loss_rate=0.02, tc_bit_flip_rate=1e-3)
+        for scheme in ("txcache", BROKEN_COMMIT):
+            for program in default_suite()[:6]:
+                config = replace(
+                    small_machine_config(num_cores=program.num_cores),
+                    faults=faults)
+                assert run_litmus(program, scheme,
+                                  fault_config=faults).to_dict() == \
+                    _judge_every_state(program, scheme, config), \
+                    program.name
+
+    @pytest.mark.parametrize("scheme", ["optimal", BROKEN_COMMIT])
+    def test_matches_when_the_image_changes_alone(self, scheme):
+        image_only = 0
+        for program in default_suite():
+            config = _evicting_config(program.num_cores)
+            assert run_litmus(program, scheme, config=config).to_dict() \
+                == _judge_every_state(program, scheme, config), \
+                program.name
+            image_only += _state_changes(program, scheme, config)[1]
+        assert image_only > 0
+
+    @pytest.mark.parametrize("scheme, evicting", [
+        ("sp", False), ("txcache", False), ("undo_log", False),
+        (BROKEN_COMMIT, False), ("optimal", True), (BROKEN_COMMIT, True)])
+    def test_oracle_runs_once_per_change_of_state(self, scheme, evicting,
+                                                  oracle_calls):
+        reused = False
+        for program in default_suite()[:8]:
+            config = (_evicting_config if evicting
+                      else small_machine_config)(program.num_cores)
+            oracle_calls.clear()
+            result = run_litmus(program, scheme, config=config)
+            assert len(oracle_calls) == \
+                _state_changes(program, scheme, config)[0], program.name
+            reused = reused or len(oracle_calls) < result.states_checked
+        assert reused
+
+    def test_reordered_equal_image_is_judged_again(self, monkeypatch,
+                                                    oracle_calls):
+        # two uncommitted writes leak; the leak pass reports them in
+        # recovered key order, so equal images in another order get
+        # their own messages
+        program = message_passing()
+        first, second = [tx.writes[0] for tx in
+                         tx_summaries(program.to_traces())[0]]
+        forward = dict([first, second])
+        backward = dict([second, first])
+        assert forward == backward
+
+        def states(system, check_every=1):
+            yield 0, set(), forward
+            yield 1, set(), backward
+
+        monkeypatch.setattr(runner, "iter_crash_states", states)
+        result = run_litmus(program, "txcache")
+        assert len(oracle_calls) == 2
+        assert result.violating_cycles == 2
+        one, two = (v["messages"] for v in result.violations)
+        assert one == list(reversed(two)) and one != two
 
 
 class TestBrokenScheme:

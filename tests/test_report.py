@@ -1,6 +1,13 @@
 """Tests for report formatting and normalization helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.common.config import paper_machine_config
 from repro.common.types import SchemeName
@@ -83,6 +90,32 @@ class TestNormalizedRows:
         first = dict(rows["gmean"])
         add_mean_row(rows)
         assert rows["gmean"] == first
+
+
+    def test_mean_row_follows_first_appearance(self):
+        rows = {"wl_a": {SchemeName.KILN: 1.0, SchemeName.SP: 2.0},
+                "wl_b": {SchemeName.OPTIMAL: 1.0, SchemeName.SP: 4.0}}
+        add_mean_row(rows)
+        assert list(rows["gmean"]) == [SchemeName.KILN, SchemeName.SP,
+                                       SchemeName.OPTIMAL]
+
+    def test_mean_row_order_ignores_the_hash_seed(self):
+        # scheme names hash per process, so a set-built row would
+        # reorder with PYTHONHASHSEED
+        script = (
+            "from repro.common.types import SchemeName\n"
+            "from repro.sim.report import add_mean_row\n"
+            "rows = {'a': {s: 1.0 for s in SchemeName}}\n"
+            "add_mean_row(rows)\n"
+            "print(' '.join(s.value for s in rows['gmean']))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        orders = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            orders.add(out.stdout)
+        assert orders == {" ".join(s.value for s in SchemeName) + "\n"}
 
 
 class TestFormatting:

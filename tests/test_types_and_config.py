@@ -1,10 +1,18 @@
 """Unit tests for shared value types and machine configuration."""
 
+import dataclasses
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
     CacheLevelConfig,
+    FaultConfig,
     MachineConfig,
+    config_fingerprint,
+    config_to_dict,
     paper_machine_config,
     small_machine_config,
     table2_rows,
@@ -196,3 +204,43 @@ class TestScaledConfigs:
         cfg = paper_machine_config().scaled_llc(128 * 1024)
         assert cfg.llc.size_bytes == 128 * 1024
         assert cfg.llc.assoc == 16
+
+
+def _every_section_overridden():
+    base = paper_machine_config()
+    return replace(
+        base,
+        num_cores=3,
+        core=replace(base.core, issue_width=2, mlp=6),
+        l1=replace(base.l1, size_bytes=8 * 1024),
+        l2=replace(base.l2, latency_ns=5.5),
+        llc=replace(base.llc, assoc=8),
+        txcache=replace(base.txcache, size_bytes=2048),
+        nvm=replace(base.nvm, write_queue_entries=32,
+                    timing=replace(base.nvm.timing, write_ns=80.5)),
+        dram=replace(base.dram, num_ranks=2,
+                     timing=replace(base.dram.timing, refresh_ns=150.0)),
+        faults=FaultConfig(seed=5, ack_loss_rate=1e-3),
+    )
+
+
+class TestConfigToDict:
+    """The field walk behind ``config_to_dict`` and
+    ``config_fingerprint`` must build exactly ``dataclasses.asdict``."""
+
+    @pytest.mark.parametrize("config", [
+        paper_machine_config(), small_machine_config(),
+        _every_section_overridden()], ids=["paper", "small", "overridden"])
+    def test_walk_equals_asdict(self, config):
+        expected = dataclasses.asdict(config)
+        walked = config_to_dict(config)
+        assert walked == expected
+        # same keys in the same order, at every depth
+        assert json.dumps(walked) == json.dumps(expected)
+        assert config_fingerprint(config) == hashlib.sha256(json.dumps(
+            expected, sort_keys=True).encode("utf-8")).hexdigest()
+
+    def test_every_section_differs_from_the_paper_config(self):
+        paper = config_to_dict(paper_machine_config())
+        overridden = config_to_dict(_every_section_overridden())
+        assert all(paper[name] != overridden[name] for name in paper)
